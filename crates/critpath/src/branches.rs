@@ -6,7 +6,7 @@
 //! generate disproportionate mispredictions.
 
 use preexec_bpred::{HybridPredictor, PredictorConfig};
-use preexec_isa::Pc;
+use preexec_isa::{InstClass, Pc};
 use preexec_trace::{Seq, Trace};
 use std::collections::HashMap;
 
@@ -52,15 +52,18 @@ pub fn problem_branches(
 ) -> Vec<ProblemBranch> {
     let mut bpred = HybridPredictor::new(cfg);
     let mut per_pc: HashMap<Pc, BranchStats> = HashMap::new();
-    for e in trace {
-        let Some(taken) = e.taken else { continue };
-        let predicted = bpred.predict(e.pc);
-        bpred.update(e.pc, taken);
-        let s = per_pc.entry(e.pc).or_default();
+    for (seq, &pc) in trace.pcs().iter().enumerate() {
+        if trace.static_inst(pc).class() != InstClass::Branch {
+            continue;
+        }
+        let taken = trace.taken_bit(seq);
+        let predicted = bpred.predict(pc);
+        bpred.update(pc, taken);
+        let s = per_pc.entry(pc).or_default();
         s.execs += 1;
         if predicted != taken {
             s.mispredicts += 1;
-            s.mispredict_seqs.push(e.seq);
+            s.mispredict_seqs.push(seq as Seq);
         }
     }
     let mut out: Vec<ProblemBranch> = per_pc

@@ -12,7 +12,7 @@
 use crate::CritPathConfig;
 use preexec_isa::InstClass;
 use preexec_mem::Level;
-use preexec_trace::{Seq, Trace};
+use preexec_trace::Trace;
 use std::fmt;
 
 /// Critical-path edge category, matching the paper's breakdown bars.
@@ -88,34 +88,6 @@ impl Breakdown {
     }
 }
 
-/// Which node of an instruction an edge terminates at.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Node {
-    F,
-    E,
-    C,
-}
-
-/// Back-pointer for path reconstruction: predecessor node and the edge's
-/// category and weight.
-#[derive(Clone, Copy, Debug)]
-struct Pred {
-    node: Node,
-    seq: Seq,
-    cat: Category,
-    weight: u64,
-    /// `false` for the virtual program-start predecessor.
-    valid: bool,
-}
-
-const START: Pred = Pred {
-    node: Node::F,
-    seq: 0,
-    cat: Category::Fetch,
-    weight: 0,
-    valid: false,
-};
-
 /// Per-dynamic-instruction inputs to the graph: resolved execute latency
 /// (already reflecting any hypothetical load-latency reduction) and the
 /// level that served memory operations.
@@ -140,183 +112,206 @@ pub struct PathResult {
 
 /// Evaluates the longest path for `trace` with per-instruction `inputs`.
 ///
-/// `inputs[i]` must correspond to `trace.event(i)`. Runs in O(n) time and
-/// O(n) space.
+/// `inputs[i]` must correspond to `trace.event(i)`. Runs in O(n) time;
+/// beyond the inputs it keeps one byte per instruction plus ROB-sized
+/// rings (see [`walk`]).
 ///
 /// # Panics
 ///
 /// Panics if `inputs.len() != trace.len()`.
 pub fn longest_path(trace: &Trace, inputs: &[NodeInput], cfg: &CritPathConfig) -> PathResult {
     assert_eq!(inputs.len(), trace.len(), "one input per trace event");
-    let n = trace.len();
+    let (pcs, deps) = (trace.pcs(), trace.deps());
+    walk(inputs.len(), cfg, |i| {
+        let inp = &inputs[i];
+        Node {
+            latency: inp.latency,
+            deps: deps[i],
+            mispredicted: inp.mispredicted,
+            cat: exec_category(trace.static_inst(pcs[i]).class(), inp.served),
+        }
+    })
+}
+
+/// One dynamic instruction as the longest-path walk sees it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Node {
+    /// Execute latency in cycles.
+    pub latency: u64,
+    /// Producers (register sources, then store→load), as trace indices;
+    /// `preexec_trace::NO_DEP` where absent.
+    pub deps: [u32; 3],
+    /// A mispredicted conditional branch: the next fetch waits for it.
+    pub mispredicted: bool,
+    /// Category of this instruction's execution-latency edges.
+    pub cat: Category,
+}
+
+// The winning predecessor of each node, packed into one byte per
+// instruction: bits 0-1 the F node's, bits 2-3 the E node's, bit 4 the C
+// node's. Edge weights and categories are recomputed while backtracking.
+const F_START: u8 = 0; // virtual program start (no predecessor)
+const F_SEQ: u8 = 1; // F of the previous instruction (fetch bandwidth)
+const F_REFILL: u8 = 2; // E of the previous, mispredicted branch
+const F_ROB: u8 = 3; // C of the instruction `rob` positions earlier
+const E_SHIFT: u8 = 2; // 0: own F node; k: E of producer slot k - 1
+const C_SEQ: u8 = 1 << 4; // C of the previous instruction (else own E)
+
+/// A candidate edge into a node replaces the best so far (time and
+/// predecessor code) only when strictly later. Written as selects: which
+/// edge wins is data-driven, and branches on it mispredict.
+#[inline(always)]
+fn pick(best: &mut u64, code: &mut u8, t: u64, candidate: u8) {
+    let later = t > *best;
+    *best = if later { t } else { *best };
+    *code = if later { candidate } else { *code };
+}
+
+/// The longest path through the dependence graph of `n` instructions
+/// described by `node`, with the per-category breakdown of that path.
+///
+/// Node times are needed only within a ROB's reach, so they live in
+/// rings of `rob` slots: a producer `rob` or more instructions back
+/// completed no later than the commit that freed this instruction's ROB
+/// slot, which precedes its fetch — its dataflow edge is strictly slack
+/// and never binds. Ties keep the first candidate in edge order (fetch
+/// bandwidth, refill, ROB; own fetch, then producers in slot order;
+/// own execute, then commit bandwidth), which fixes the attributed path.
+pub(crate) fn walk(n: usize, cfg: &CritPathConfig, node: impl Fn(usize) -> Node) -> PathResult {
     if n == 0 {
         return PathResult {
             cycles: 0,
             breakdown: Breakdown::default(),
         };
     }
-    let mut tf = vec![0u64; n]; // fetch times
-    let mut te = vec![0u64; n]; // execute-complete times
-    let mut tc = vec![0u64; n]; // commit times
-    let mut pf = vec![START; n];
-    let mut pe = vec![START; n];
-    let mut pc = vec![START; n];
-
     let fw = cfg.fetch_width as usize;
     let cw = cfg.commit_width as usize;
-    let rob = cfg.rob_size as usize;
+    let rob = cfg.rob_size.max(1) as usize;
+    let mask = rob.next_power_of_two() - 1;
+    // One slot past the ring stays 0: absent and slack producers read it,
+    // and a candidate of 0 + latency never beats the own-fetch edge.
+    let zero_slot = mask + 1;
+    let mut te = vec![0u64; mask + 2];
+    let mut tc = vec![0u64; mask + 1];
+    let mut choice = vec![0u8; n];
+    let (mut tf_prev, mut prev_misp) = (0u64, false);
+    // `i % fetch_width` and `i % commit_width`, without dividing.
+    let (mut kf, mut kc) = (0usize, 0usize);
 
     for i in 0..n {
-        let e = trace.event(i as Seq);
-        let inp = &inputs[i];
+        let nd = node(i);
 
         // --- F node ---
-        let mut best_t = 0u64;
-        let mut best_p = START;
+        let (mut tf, mut c) = (0u64, F_START);
         if i > 0 {
             // In-order fetch at finite bandwidth: a new fetch group starts
             // every `fetch_width` instructions.
-            let w = u64::from(i % fw == 0);
-            consider(
-                &mut best_t,
-                &mut best_p,
-                tf[i - 1],
-                Node::F,
-                (i - 1) as Seq,
-                Category::Fetch,
-                w,
-            );
+            pick(&mut tf, &mut c, tf_prev + u64::from(kf == 0), F_SEQ);
             // Branch misprediction: fetch of the next instruction waits for
             // the branch to execute plus the refill penalty.
-            if inputs[i - 1].mispredicted {
-                consider(
-                    &mut best_t,
-                    &mut best_p,
-                    te[i - 1],
-                    Node::E,
-                    (i - 1) as Seq,
-                    Category::Fetch,
-                    cfg.mispredict_penalty,
-                );
+            if prev_misp {
+                let t = te[(i - 1) & mask] + cfg.mispredict_penalty;
+                pick(&mut tf, &mut c, t, F_REFILL);
             }
         }
         if i >= rob {
             // Finite window: the ROB slot is recycled at the commit of the
             // instruction `rob` positions earlier.
-            consider(
-                &mut best_t,
-                &mut best_p,
-                tc[i - rob],
-                Node::C,
-                (i - rob) as Seq,
-                Category::Fetch,
-                1,
-            );
+            pick(&mut tf, &mut c, tc[(i - rob) & mask] + 1, F_ROB);
         }
-        tf[i] = best_t;
-        pf[i] = best_p;
 
         // --- E node (execution completes) ---
         // Dispatch from fetch through the front end, then execute.
-        let own_cat = exec_category(e.inst.class(), inp.served);
-        let mut best_t = tf[i] + cfg.frontend_depth + inp.latency;
-        let mut best_p = Pred {
-            node: Node::F,
-            seq: i as Seq,
-            cat: own_cat,
-            weight: cfg.frontend_depth + inp.latency,
-            valid: true,
-        };
-        for dep in e.src_deps.iter().flatten().chain(e.mem_dep.iter()) {
-            let d = *dep as usize;
-            debug_assert!(d < i);
-            consider(
-                &mut best_t,
-                &mut best_p,
-                te[d],
-                Node::E,
-                *dep,
-                own_cat,
-                inp.latency,
-            );
+        let (mut t_e, mut e) = (tf + cfg.frontend_depth + nd.latency, 0);
+        for (k, &d) in nd.deps.iter().enumerate() {
+            // Absent producers (NO_DEP wraps to a huge distance) and slack
+            // ones, `rob` or more back, read the zero slot.
+            let d = d as usize;
+            let slot = if i.wrapping_sub(d) < rob {
+                d & mask
+            } else {
+                zero_slot
+            };
+            pick(&mut t_e, &mut e, te[slot] + nd.latency, k as u8 + 1);
         }
-        te[i] = best_t;
-        pe[i] = best_p;
+        c |= e << E_SHIFT;
 
         // --- C node ---
-        let mut best_t = te[i];
-        let mut best_p = Pred {
-            node: Node::E,
-            seq: i as Seq,
-            cat: Category::Exec,
-            weight: 0,
-            valid: true,
-        };
+        let mut t_c = t_e;
         if i > 0 {
-            let w = u64::from(i % cw == 0);
-            consider(
-                &mut best_t,
-                &mut best_p,
-                tc[i - 1],
-                Node::C,
-                (i - 1) as Seq,
-                Category::Commit,
-                w,
-            );
+            let t = tc[(i - 1) & mask] + u64::from(kc == 0);
+            let code = c | C_SEQ;
+            pick(&mut t_c, &mut c, t, code);
         }
-        tc[i] = best_t;
-        pc[i] = best_p;
+        te[i & mask] = t_e;
+        tc[i & mask] = t_c;
+        choice[i] = c;
+        tf_prev = tf;
+        prev_misp = nd.mispredicted;
+        kf = if kf + 1 == fw { 0 } else { kf + 1 };
+        kc = if kc + 1 == cw { 0 } else { kc + 1 };
     }
 
     // Backtrack from the last commit, attributing edge weights.
+    #[derive(Clone, Copy)]
+    enum At {
+        F,
+        E,
+        C,
+    }
     let mut breakdown = Breakdown::default();
-    let mut node = Node::C;
-    let mut seq = (n - 1) as Seq;
+    let (mut at, mut i) = (At::C, n - 1);
     loop {
-        let p = match node {
-            Node::F => pf[seq as usize],
-            Node::E => pe[seq as usize],
-            Node::C => pc[seq as usize],
-        };
-        if !p.valid {
-            break;
+        let c = choice[i];
+        match at {
+            At::F => match c & 3 {
+                F_START => break,
+                F_SEQ => {
+                    breakdown.add(Category::Fetch, u64::from(i % fw == 0) as f64);
+                    i -= 1;
+                }
+                F_REFILL => {
+                    breakdown.add(Category::Fetch, cfg.mispredict_penalty as f64);
+                    (at, i) = (At::E, i - 1);
+                }
+                _ => {
+                    breakdown.add(Category::Fetch, 1.0);
+                    (at, i) = (At::C, i - rob);
+                }
+            },
+            At::E => {
+                let nd = node(i);
+                match (c >> E_SHIFT) & 3 {
+                    0 => {
+                        let w = cfg.frontend_depth + nd.latency;
+                        breakdown.add(nd.cat, w as f64);
+                        at = At::F;
+                    }
+                    k => {
+                        breakdown.add(nd.cat, nd.latency as f64);
+                        i = nd.deps[k as usize - 1] as usize;
+                    }
+                }
+            }
+            At::C => {
+                if c & C_SEQ == 0 {
+                    breakdown.add(Category::Exec, 0.0);
+                    at = At::E;
+                } else {
+                    breakdown.add(Category::Commit, u64::from(i % cw == 0) as f64);
+                    i -= 1;
+                }
+            }
         }
-        breakdown.add(p.cat, p.weight as f64);
-        node = p.node;
-        seq = p.seq;
     }
     PathResult {
-        cycles: tc[n - 1],
+        cycles: tc[(n - 1) & mask],
         breakdown,
     }
 }
 
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn consider(
-    best_t: &mut u64,
-    best_p: &mut Pred,
-    src_t: u64,
-    node: Node,
-    seq: Seq,
-    cat: Category,
-    weight: u64,
-) {
-    let t = src_t + weight;
-    if t > *best_t {
-        *best_t = t;
-        *best_p = Pred {
-            node,
-            seq,
-            cat,
-            weight,
-            valid: true,
-        };
-    }
-}
-
 /// Category of an instruction's execution-latency edges.
-fn exec_category(class: InstClass, served: Option<Level>) -> Category {
+pub(crate) fn exec_category(class: InstClass, served: Option<Level>) -> Category {
     match (class, served) {
         (InstClass::Load, Some(Level::Mem)) => Category::Mem,
         (InstClass::Load, Some(Level::L2)) => Category::L2,

@@ -41,7 +41,7 @@ pub struct CritPathConfig {
     pub fetch_width: u32,
     /// Instructions committed per cycle.
     pub commit_width: u32,
-    /// Reorder-buffer entries.
+    /// Reorder-buffer entries (a size of 0 is modelled as 1).
     pub rob_size: u32,
     /// Cycles from fetch to execution-ready (front-end depth).
     pub frontend_depth: u64,

@@ -2,49 +2,57 @@
 //! estimate, Figure 2 breakdown, and the criticality-based load cost
 //! functions that PTHSEL+E consumes.
 
-use crate::graph::{longest_path, Breakdown, NodeInput, PathResult};
+use crate::graph::{longest_path, walk, Breakdown, Category, Node, NodeInput, PathResult};
 use crate::{CritPathConfig, LoadCost};
 use preexec_bpred::{HybridPredictor, PredictorConfig};
 use preexec_isa::{InstClass, Pc};
 use preexec_mem::Level;
-use preexec_trace::{MemAnnotation, Trace};
+use preexec_trace::{MemAnnotation, Seq, Trace};
 
-/// Flattened per-event inputs for the batched cycles-only evaluator: one
-/// cache-friendly record per dynamic instruction instead of re-deriving
-/// them from `Trace` events on every hypothetical evaluation.
-#[derive(Clone, Debug, Default)]
-struct Compact {
-    /// Up to two register producers plus one store→load producer, as
-    /// indices into the trace; `u32::MAX` marks an absent slot.
-    deps: Vec<[u32; 3]>,
-    /// Baseline execute latency (already memory-annotated).
-    base_lat: Vec<u32>,
-    /// Static PC, for matching the targeted problem load.
-    pc: Vec<Pc>,
-    /// Bit 0: load served from memory (an L2 miss). Bit 1: mispredicted
-    /// conditional branch.
-    flags: Vec<u8>,
-}
+// Per-instruction latency kinds. Every execute latency the model assigns
+// is one of six values, so each instruction stores a one-byte kind (plus
+// the misprediction bit) and the latencies live in a six-entry table.
+const K_UNIT: u8 = 0; // ALU, branch, jump, store, nop/halt: 1 cycle
+const K_MUL: u8 = 1; // integer multiply
+const K_LOAD_L1: u8 = 2; // load served by the L1
+const K_LOAD_L2: u8 = 3; // load served by the L2
+const K_LOAD_MEM: u8 = 4; // load served by memory: an L2 miss
+const K_LOAD_NONE: u8 = 5; // load the annotation does not cover
+const KIND_MASK: u8 = 7;
+const MISPREDICTED: u8 = 8;
 
-const FLAG_MEM_LOAD: u8 = 1;
-const FLAG_MISPREDICTED: u8 = 2;
+/// The §4.1 sample fractions of the tolerable latency.
+const FRACTIONS: [f64; 4] = [0.25, 0.5, 0.75, 1.0];
 
-/// Reusable lane buffers for [`CritPathModel::cycles_lanes`]. Guarded by a
-/// mutex so the model stays `Sync`; a contended call simply allocates a
-/// private buffer, trading memory for lock-freedom.
-#[derive(Debug, Default)]
-struct Scratch {
-    te4: Vec<[u32; 4]>,
-    te5: Vec<[u32; 5]>,
-    te9: Vec<[u32; 9]>,
-}
+/// The nine samples of one problem load's cost function, lane by lane:
+/// the fraction of tolerable latency removed from the load's own misses,
+/// and whether every other L2 miss becomes an L2 hit. Lanes 0-3 help
+/// only this load (pessimistic); lanes 4-8 also resolve every other miss
+/// (optimistic), from no reduction up. Every interaction model reads the
+/// lanes it needs.
+const LANES: [(f64, bool); 9] = [
+    (0.25, false),
+    (0.5, false),
+    (0.75, false),
+    (1.0, false),
+    (0.0, true),
+    (0.25, true),
+    (0.5, true),
+    (0.75, true),
+    (1.0, true),
+];
+
+/// Problem loads evaluated per `f32` multi-lane pass (9 lanes each):
+/// bounds the lane width at 72.
+const LOADS_PER_PASS: usize = 8;
 
 /// A dependence-graph critical-path model bound to one trace.
 ///
 /// Construction replays the trace through the shared branch predictor (to
-/// place misprediction edges) and snapshots per-instruction latencies from
-/// the memory annotation. Evaluations with hypothetically reduced load
-/// latencies then share that base state.
+/// place misprediction edges) and classifies every instruction's execute
+/// latency from the memory annotation — one byte per instruction.
+/// Evaluations with hypothetically reduced load latencies then share that
+/// base state.
 ///
 /// # Examples
 ///
@@ -62,31 +70,18 @@ struct Scratch {
 /// let model = CritPathModel::new(&trace, &ann, CritPathConfig::default());
 /// assert!(model.execution_time() > 0);
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct CritPathModel<'t> {
     trace: &'t Trace,
     cfg: CritPathConfig,
-    base: Vec<NodeInput>,
-    compact: Compact,
+    /// Latency kind of each instruction, `| MISPREDICTED` for a
+    /// mispredicted conditional branch.
+    kinds: Vec<u8>,
+    /// Execute latency of each kind.
+    latency: [u64; 6],
     l2_hit_latency: u64,
     mem_miss_latency: u64,
     baseline: PathResult,
-    scratch: std::sync::Mutex<Scratch>,
-}
-
-impl Clone for CritPathModel<'_> {
-    fn clone(&self) -> Self {
-        CritPathModel {
-            trace: self.trace,
-            cfg: self.cfg,
-            base: self.base.clone(),
-            compact: self.compact.clone(),
-            l2_hit_latency: self.l2_hit_latency,
-            mem_miss_latency: self.mem_miss_latency,
-            baseline: self.baseline.clone(),
-            scratch: std::sync::Mutex::default(),
-        }
-    }
 }
 
 impl<'t> CritPathModel<'t> {
@@ -96,189 +91,248 @@ impl<'t> CritPathModel<'t> {
         let hier = ann.config();
         let l2_hit_latency = hier.l1d.latency + hier.l2.latency;
         let mem_miss_latency = l2_hit_latency + hier.mem_latency;
-        let base: Vec<NodeInput> = trace
+        let kinds = trace
+            .pcs()
             .iter()
-            .map(|e| {
-                let mispredicted = match e.taken {
-                    Some(taken) => !bpred.update(e.pc, taken),
-                    None => false,
-                };
-                let served = ann.served(e.seq);
-                let latency = match e.inst.class() {
-                    InstClass::Load => ann.latency(e.seq),
-                    InstClass::Store => 1, // retire-time write, off the path
-                    InstClass::IntMul => cfg.mul_latency,
-                    InstClass::Branch | InstClass::Jump | InstClass::IntAlu => 1,
-                    InstClass::Other => 1,
-                };
-                NodeInput {
-                    latency,
-                    served,
-                    mispredicted,
-                }
+            .enumerate()
+            .map(|(i, &pc)| match trace.static_inst(pc).class() {
+                InstClass::Branch if !bpred.update(pc, trace.taken_bit(i)) => K_UNIT | MISPREDICTED,
+                InstClass::IntMul => K_MUL,
+                InstClass::Load => match ann.served(i as Seq) {
+                    Some(Level::L1) => K_LOAD_L1,
+                    Some(Level::L2) => K_LOAD_L2,
+                    Some(Level::Mem) => K_LOAD_MEM,
+                    None => K_LOAD_NONE,
+                },
+                // Stores write at retire, off the path; the rest is 1 cycle.
+                _ => K_UNIT,
             })
             .collect();
-        let baseline = longest_path(trace, &base, &cfg);
-        let mut compact = Compact::default();
-        for (i, e) in trace.iter().enumerate() {
-            let mut deps = [u32::MAX; 3];
-            for (k, d) in e
-                .src_deps
-                .iter()
-                .flatten()
-                .chain(e.mem_dep.iter())
-                .enumerate()
-            {
-                deps[k] = *d as u32;
-            }
-            compact.deps.push(deps);
-            compact.base_lat.push(base[i].latency as u32);
-            compact.pc.push(e.pc);
-            let mut f = 0u8;
-            if e.inst.is_load() && base[i].served == Some(Level::Mem) {
-                f |= FLAG_MEM_LOAD;
-            }
-            if base[i].mispredicted {
-                f |= FLAG_MISPREDICTED;
-            }
-            compact.flags.push(f);
-        }
-        CritPathModel {
-            trace,
-            cfg,
-            base,
-            compact,
+        let latency = [
+            1,
+            cfg.mul_latency,
+            hier.l1d.latency,
             l2_hit_latency,
             mem_miss_latency,
-            baseline,
-            scratch: std::sync::Mutex::default(),
+            0,
+        ];
+        let mut model = CritPathModel {
+            trace,
+            cfg,
+            kinds,
+            latency,
+            l2_hit_latency,
+            mem_miss_latency,
+            baseline: PathResult {
+                cycles: 0,
+                breakdown: Breakdown::default(),
+            },
+        };
+        model.baseline = model.baseline_path();
+        model
+    }
+
+    fn baseline_path(&self) -> PathResult {
+        let deps = self.trace.deps();
+        walk(self.kinds.len(), &self.cfg, |i| {
+            let k = self.kinds[i];
+            Node {
+                latency: self.latency[(k & KIND_MASK) as usize],
+                deps: deps[i],
+                mispredicted: k & MISPREDICTED != 0,
+                cat: match k & KIND_MASK {
+                    K_LOAD_L2 => Category::L2,
+                    K_LOAD_MEM => Category::Mem,
+                    _ => Category::Exec,
+                },
+            }
+        })
+    }
+
+    /// The baseline inputs of every instruction, as [`longest_path`]
+    /// takes them.
+    fn base_inputs(&self) -> Vec<NodeInput> {
+        self.kinds
+            .iter()
+            .map(|&k| NodeInput {
+                latency: self.latency[(k & KIND_MASK) as usize],
+                served: match k & KIND_MASK {
+                    K_LOAD_L1 => Some(Level::L1),
+                    K_LOAD_L2 => Some(Level::L2),
+                    K_LOAD_MEM => Some(Level::Mem),
+                    _ => None,
+                },
+                mispredicted: k & MISPREDICTED != 0,
+            })
+            .collect()
+    }
+
+    /// Sequence numbers of the L2-missing loads, in trace order.
+    fn mem_loads(&self) -> impl Iterator<Item = usize> + '_ {
+        self.trace
+            .mem_seqs()
+            .iter()
+            .map(|&s| s as usize)
+            .filter(|&i| self.kinds[i] & KIND_MASK == K_LOAD_MEM)
+    }
+
+    /// The cycles of the nine [`LANES`] samples of each load in `loads`
+    /// (sorted, distinct PCs), nine per load in `loads` order; `None` when
+    /// the baseline fits no lane type exactly.
+    ///
+    /// Reduced latencies never exceed their baseline values, so every
+    /// lane's node times (and every partial sum on the way) are bounded by
+    /// the baseline critical path. Below 2^24 cycles the lanes are `f32`,
+    /// [`LOADS_PER_PASS`] loads to a pass; below 2^53 they are `f64`, one
+    /// load to a pass.
+    fn sample_cycles(&self, loads: &[Pc]) -> Option<Vec<u64>> {
+        // A fixed width lets every per-lane loop compile to straight-line
+        // SIMD: nine lanes per load, rounded up to a multiple of four.
+        macro_rules! f32_pass {
+            ($batch:expr; $($k:literal => $w:literal),*) => {
+                match $batch.len() {
+                    $($k => self.lanes_pass::<f32, $w>($batch),)*
+                    k => unreachable!("{k} loads exceed one pass"),
+                }
+            };
+        }
+        let cycles = self.baseline.cycles;
+        if cycles < f32::EXACT {
+            let passes = loads.chunks(LOADS_PER_PASS).flat_map(|batch| {
+                f32_pass!(batch; 1 => 12, 2 => 20, 3 => 28, 4 => 36, 5 => 48, 6 => 56, 7 => 64, 8 => 72)
+            });
+            Some(passes.collect())
+        } else if cycles < f64::EXACT {
+            let passes = loads
+                .chunks(1)
+                .flat_map(|load| self.lanes_pass::<f64, 10>(load));
+            Some(passes.collect())
+        } else {
+            None
         }
     }
 
-    /// Batched cycles-only longest path: evaluates `L` hypothetical
-    /// latency assignments in one pass over the trace. Lane `l` gives the
-    /// targeted problem load the latency `target_lat[l]`; every other
-    /// L2-missing load keeps its baseline latency, or becomes an L2 hit
-    /// when `others_resolved[l]` (the optimistic interaction variant) —
-    /// per-lane, so one pass can carry pessimistic and optimistic lanes
-    /// together.
+    /// Batched cycles-only longest path over the [`LANES`] samples of
+    /// every load in `targets` (sorted, distinct PCs) in one pass over the
+    /// trace, at `L >= 9 * targets.len()` lanes: lane `9 * g + s` gives the
+    /// L2 misses of `targets[g]` the reduced latency of sample `s`; every
+    /// other L2-missing load keeps its baseline latency, or becomes an L2
+    /// hit in the optimistic samples. Lanes past `9 * targets.len()`
+    /// compute a don't-care copy.
     ///
-    /// This computes exactly the `cycles` field of [`longest_path`] —
-    /// breakdown attribution needs the predecessor chain and stays on the
-    /// scalar path — in 32-bit lanes (hypothetical latencies only ever
-    /// shrink, so every node time is bounded by the 32-bit-checked
-    /// baseline).
-    fn cycles_lanes<const L: usize>(
-        &self,
-        te: &mut Vec<[u32; L]>,
-        target: Pc,
-        target_lat: [u32; L],
-        others_resolved: [bool; L],
-    ) -> [u64; L] {
-        let c = &self.compact;
-        let n = c.base_lat.len();
-        if n == 0 {
-            return [0; L];
+    /// This computes exactly the `cycles` field of [`longest_path`] while
+    /// node times stay below `T::EXACT` — breakdown attribution needs the
+    /// predecessor chain and stays on the scalar path. Node times live in
+    /// ROB-sized rings, as in the scalar walk, so the working set stays
+    /// cache-resident.
+    fn lanes_pass<T: Lane, const L: usize>(&self, targets: &[Pc]) -> Vec<u64> {
+        let nl = 9 * targets.len();
+        // Latency vectors of an L2-missing load: one per target (its own
+        // lanes take the reduced latency) and one for any other load.
+        let mut other = [T::default(); L];
+        for (x, &(_, resolved)) in other[..nl].iter_mut().zip(LANES.iter().cycle()) {
+            *x = T::of(match resolved {
+                true => self.l2_hit_latency,
+                false => self.mem_miss_latency,
+            });
         }
-        if te.len() < n {
-            te.resize(n, [0; L]);
-        }
+        let own: Vec<[T; L]> = (0..targets.len())
+            .map(|g| {
+                let mut v = other;
+                for (x, &(frac, _)) in v[9 * g..9 * g + 9].iter_mut().zip(&LANES) {
+                    *x = T::of(self.reduced_latency(frac));
+                }
+                v
+            })
+            .collect();
+        let n = self.kinds.len();
+        let (pcs, deps) = (self.trace.pcs(), self.trace.deps());
         let fw = self.cfg.fetch_width as usize;
         let cw = self.cfg.commit_width as usize;
-        let rob = self.cfg.rob_size as usize;
-        let fd = self.cfg.frontend_depth as u32;
-        let mp = self.cfg.mispredict_penalty as u32;
-        let l2 = self.l2_hit_latency as u32;
-        let mut tc_ring: Vec<[u32; L]> = vec![[0; L]; rob];
-        let mut tf_prev = [0u32; L];
-        let mut te_prev = [0u32; L];
-        let mut tc_prev = [0u32; L];
+        let rob = self.cfg.rob_size.max(1) as usize;
+        let fd = T::of(self.cfg.frontend_depth);
+        let mp = T::of(self.cfg.mispredict_penalty);
+        let (zero, one) = (T::default(), T::of(1));
+        let latency = self.latency.map(T::of);
+        let mask = rob.next_power_of_two() - 1;
+        let mut te = vec![[zero; L]; mask + 1];
+        let mut tc = vec![[zero; L]; mask + 1];
+        let mut tf = [zero; L];
         let mut prev_misp = false;
-        let mut kf = 0usize; // i % fetch_width
-        let mut kc = 0usize; // i % commit_width
+        // `i % fetch_width` and `i % commit_width`, without dividing.
+        let (mut kf, mut kc) = (0usize, 0usize);
         for i in 0..n {
-            // --- F node ---
-            let mut tf = [0u32; L];
+            // --- F node (in place over the previous one) ---
             if i > 0 {
-                let w = (kf == 0) as u32;
-                for l in 0..L {
-                    tf[l] = tf_prev[l] + w;
+                let w = if kf == 0 { one } else { zero };
+                for f in &mut tf {
+                    *f += w;
                 }
                 if prev_misp {
+                    let te_prev = &te[(i - 1) & mask];
                     for l in 0..L {
-                        tf[l] = tf[l].max(te_prev[l] + mp);
+                        tf[l] = max(tf[l], te_prev[l] + mp);
                     }
                 }
             }
             if i >= rob {
-                let old = tc_ring[i % rob]; // tc[i - rob]
+                let old = &tc[(i - rob) & mask];
                 for l in 0..L {
-                    tf[l] = tf[l].max(old[l] + 1);
+                    tf[l] = max(tf[l], old[l] + one);
                 }
             }
-            // --- per-lane latency ---
-            let f = c.flags[i];
-            let lat: [u32; L] = if f & FLAG_MEM_LOAD != 0 && c.pc[i] == target {
-                target_lat
-            } else if f & FLAG_MEM_LOAD != 0 {
-                let b = c.base_lat[i];
-                let mut a = [0u32; L];
-                for l in 0..L {
-                    a[l] = if others_resolved[l] { l2 } else { b };
-                }
-                a
-            } else {
-                [c.base_lat[i]; L]
-            };
-            // --- E node ---
-            let mut t = [0u32; L];
+            // --- E node: max(fetch + front end, producers) + latency ---
+            let mut t = [zero; L];
             for l in 0..L {
-                t[l] = tf[l] + fd + lat[l];
+                t[l] = tf[l] + fd;
             }
-            for &d in &c.deps[i] {
-                if d == u32::MAX {
-                    break;
+            for &d in &deps[i] {
+                // Only producers less than `rob` back can bind (see
+                // `walk`); NO_DEP wraps to a huge distance.
+                let d = d as usize;
+                if i.wrapping_sub(d) >= rob {
+                    continue;
                 }
-                let td = te[d as usize];
+                let td = &te[d & mask];
                 for l in 0..L {
-                    t[l] = t[l].max(td[l] + lat[l]);
+                    t[l] = max(t[l], td[l]);
                 }
             }
-            te[i] = t;
+            let k = self.kinds[i];
+            if k & KIND_MASK == K_LOAD_MEM {
+                let lat = match targets.binary_search(&pcs[i]) {
+                    Ok(g) => &own[g],
+                    Err(_) => &other,
+                };
+                for l in 0..L {
+                    t[l] += lat[l];
+                }
+            } else {
+                let lat = latency[(k & KIND_MASK) as usize];
+                for x in &mut t {
+                    *x += lat;
+                }
+            }
+            te[i & mask] = t;
             // --- C node ---
-            let mut tc = t;
             if i > 0 {
-                let w = (kc == 0) as u32;
+                let w = if kc == 0 { one } else { zero };
+                let prev = &tc[(i - 1) & mask];
                 for l in 0..L {
-                    tc[l] = tc[l].max(tc_prev[l] + w);
+                    t[l] = max(t[l], prev[l] + w);
                 }
             }
-            tc_ring[i % rob] = tc;
-            tf_prev = tf;
-            te_prev = t;
-            tc_prev = tc;
-            prev_misp = f & FLAG_MISPREDICTED != 0;
-            kf += 1;
-            if kf == fw {
-                kf = 0;
-            }
-            kc += 1;
-            if kc == cw {
-                kc = 0;
-            }
+            tc[i & mask] = t;
+            prev_misp = k & MISPREDICTED != 0;
+            kf = if kf + 1 == fw { 0 } else { kf + 1 };
+            kc = if kc + 1 == cw { 0 } else { kc + 1 };
         }
-        let mut out = [0u64; L];
-        for l in 0..L {
-            out[l] = tc_prev[l] as u64;
-        }
-        out
-    }
-
-    /// True when every node time provably fits the 32-bit lanes: reduced
-    /// latencies never exceed their baseline values, so each lane's node
-    /// times are bounded by the baseline critical path.
-    fn lanes_safe(&self) -> bool {
-        self.baseline.cycles < (u32::MAX / 2) as u64
+        let last = if n == 0 {
+            [zero; L]
+        } else {
+            tc[(n - 1) & mask]
+        };
+        last[..nl].iter().map(|&c| c.get()).collect()
     }
 
     /// The reduced latency the paper's sampling assigns the target load at
@@ -318,12 +372,10 @@ impl<'t> CritPathModel<'t> {
     /// and, when `others_resolved`, every other L2 miss is fully resolved
     /// to an L2 hit (the optimistic interaction-cost variant).
     pub fn time_with_reduction(&self, pc: Pc, fraction: f64, others_resolved: bool) -> u64 {
-        let mut inputs = self.base.clone();
-        for (i, e) in self.trace.iter().enumerate() {
-            if !e.inst.is_load() || inputs[i].served != Some(Level::Mem) {
-                continue;
-            }
-            if e.pc == pc {
+        let mut inputs = self.base_inputs();
+        let pcs = self.trace.pcs();
+        for i in self.mem_loads() {
+            if pcs[i] == pc {
                 let tol = (self.mem_miss_latency - self.l2_hit_latency) as f64;
                 let reduced = self.mem_miss_latency as f64 - fraction * tol;
                 inputs[i].latency = reduced.round() as u64;
@@ -351,79 +403,76 @@ impl<'t> CritPathModel<'t> {
     /// non-critical) and pure optimism over-selects (like classic PTHSEL);
     /// averaging the two is its chosen compromise.
     pub fn load_cost_with(&self, pc: Pc, interaction: InteractionModel) -> LoadCost {
-        let misses = self
-            .trace
-            .iter()
-            .enumerate()
-            .filter(|(i, e)| {
-                e.pc == pc && e.inst.is_load() && self.base[*i].served == Some(Level::Mem)
-            })
-            .count() as u64;
+        let mut costs = self.load_costs_with(&[pc], interaction);
+        costs.pop().expect("one cost per pc")
+    }
+
+    /// [`CritPathModel::load_cost`] for several loads at once, in `pcs`
+    /// order. Every sample of every load comes from one multi-lane pass
+    /// over the trace per [`LOADS_PER_PASS`] loads (per load when the
+    /// baseline reaches 2^24 cycles), instead of a pass per sample.
+    pub fn load_costs(&self, pcs: &[Pc]) -> Vec<LoadCost> {
+        self.load_costs_with(pcs, InteractionModel::Averaged)
+    }
+
+    /// [`CritPathModel::load_costs`] with an explicit interaction-cost
+    /// treatment.
+    pub fn load_costs_with(&self, pcs: &[Pc], interaction: InteractionModel) -> Vec<LoadCost> {
         let tol_max = self.tolerable_cycles() as f64;
-        if misses == 0 {
-            return LoadCost::flat(pc, 0, tol_max);
-        }
-        if !self.lanes_safe() {
-            return self.load_cost_scalar(pc, interaction, misses, tol_max);
-        }
-        // Batched path: every sample the interaction model needs comes
-        // from one multi-lane pass (Averaged fuses the four pessimistic
-        // and five optimistic lanes) instead of up to nine scalar
-        // longest-path evaluations.
-        let red = |frac: f64| self.reduced_latency(frac) as u32;
-        let mut guard = self.scratch.try_lock().ok();
-        let mut local = None;
-        let s = match guard.as_deref_mut() {
-            Some(s) => s,
-            None => local.insert(Scratch::default()),
-        };
-        let (pess, opt) = match interaction {
-            InteractionModel::Pessimistic => (
-                self.cycles_lanes(
-                    &mut s.te4,
-                    pc,
-                    [red(0.25), red(0.5), red(0.75), red(1.0)],
-                    [false; 4],
-                ),
-                [0u64; 5],
-            ),
-            InteractionModel::Optimistic => (
-                [0u64; 4],
-                self.cycles_lanes(
-                    &mut s.te5,
-                    pc,
-                    [red(0.0), red(0.25), red(0.5), red(0.75), red(1.0)],
-                    [true; 5],
-                ),
-            ),
-            InteractionModel::Averaged => {
-                let all = self.cycles_lanes(
-                    &mut s.te9,
-                    pc,
-                    [
-                        red(0.25),
-                        red(0.5),
-                        red(0.75),
-                        red(1.0),
-                        red(0.0),
-                        red(0.25),
-                        red(0.5),
-                        red(0.75),
-                        red(1.0),
-                    ],
-                    [false, false, false, false, true, true, true, true, true],
-                );
-                (
-                    [all[0], all[1], all[2], all[3]],
-                    [all[4], all[5], all[6], all[7], all[8]],
-                )
+        let mut targets: Vec<Pc> = pcs.to_vec();
+        targets.sort_unstable();
+        targets.dedup();
+        let mut misses = vec![0u64; targets.len()];
+        let trace_pcs = self.trace.pcs();
+        for i in self.mem_loads() {
+            if let Ok(g) = targets.binary_search(&trace_pcs[i]) {
+                misses[g] += 1;
             }
-        };
+        }
+        let missing = |pc: &Pc| targets.binary_search(pc).map_or(0, |g| misses[g]);
+        let live: Vec<Pc> = targets
+            .iter()
+            .copied()
+            .filter(|pc| missing(pc) > 0)
+            .collect();
+        let sampled = self.sample_cycles(&live);
+
+        pcs.iter()
+            .map(|&pc| {
+                let misses = missing(&pc);
+                if misses == 0 {
+                    return LoadCost::flat(pc, 0, tol_max);
+                }
+                let Some(cycles) = &sampled else {
+                    return self.load_cost_scalar(pc, interaction, misses);
+                };
+                let g = live.binary_search(&pc).expect("a missing load is live");
+                let c = &cycles[9 * g..9 * g + 9];
+                let pess = c[..4].try_into().expect("four pessimistic lanes");
+                let opt = c[4..].try_into().expect("five optimistic lanes");
+                self.cost_from_samples(pc, interaction, misses, pess, opt)
+            })
+            .collect()
+    }
+
+    /// Assembles a cost function from the sampled execution times:
+    /// `pess[k]` and `opt[k + 1]` at `FRACTIONS[k]`, and `opt[0]` the
+    /// optimistic time at no reduction. Samples the interaction model
+    /// does not use are ignored.
+    fn cost_from_samples(
+        &self,
+        pc: Pc,
+        interaction: InteractionModel,
+        misses: u64,
+        pess: [u64; 4],
+        opt: [u64; 5],
+    ) -> LoadCost {
+        let tol_max = self.tolerable_cycles() as f64;
         let t_pess_base = self.baseline.cycles as f64;
         let t_opt_base = opt[0] as f64;
         let mut points = Vec::with_capacity(5);
         points.push((0.0, 0.0));
-        for (k, &frac) in [0.25, 0.5, 0.75, 1.0].iter().enumerate() {
+        for (k, &frac) in FRACTIONS.iter().enumerate() {
             let d_pess = || t_pess_base - pess[k] as f64;
             let d_opt = || t_opt_base - opt[k + 1] as f64;
             let per_miss = match interaction {
@@ -436,31 +485,69 @@ impl<'t> CritPathModel<'t> {
         LoadCost::from_points(pc, misses, tol_max, points)
     }
 
-    /// The scalar reference sampling, kept verbatim as the fallback for
-    /// (pathological) traces whose critical path does not fit the 32-bit
-    /// lanes, and as the oracle the batched path is tested against.
-    fn load_cost_scalar(
-        &self,
-        pc: Pc,
-        interaction: InteractionModel,
-        misses: u64,
-        tol_max: f64,
-    ) -> LoadCost {
-        let t_pess_base = self.baseline.cycles as f64;
-        let t_opt_base = self.time_with_reduction(pc, 0.0, true) as f64;
-        let mut points = Vec::with_capacity(5);
-        points.push((0.0, 0.0));
-        for &frac in &[0.25, 0.5, 0.75, 1.0] {
-            let d_pess = || t_pess_base - self.time_with_reduction(pc, frac, false) as f64;
-            let d_opt = || t_opt_base - self.time_with_reduction(pc, frac, true) as f64;
-            let per_miss = match interaction {
-                InteractionModel::Pessimistic => d_pess(),
-                InteractionModel::Optimistic => d_opt(),
-                InteractionModel::Averaged => 0.5 * (d_pess() + d_opt()),
-            } / misses as f64;
-            points.push((frac * tol_max, per_miss.max(0.0)));
+    /// The scalar reference sampling: one full longest-path evaluation
+    /// per sample. The fallback for (pathological) traces whose critical
+    /// path fits no lane type, and the oracle the lanes are tested
+    /// against.
+    fn load_cost_scalar(&self, pc: Pc, interaction: InteractionModel, misses: u64) -> LoadCost {
+        let pessimistic = !matches!(interaction, InteractionModel::Optimistic);
+        let optimistic = !matches!(interaction, InteractionModel::Pessimistic);
+        let (mut pess, mut opt) = ([0u64; 4], [0u64; 5]);
+        if optimistic {
+            opt[0] = self.time_with_reduction(pc, 0.0, true);
         }
-        LoadCost::from_points(pc, misses, tol_max, points)
+        for (k, &frac) in FRACTIONS.iter().enumerate() {
+            if pessimistic {
+                pess[k] = self.time_with_reduction(pc, frac, false);
+            }
+            if optimistic {
+                opt[k + 1] = self.time_with_reduction(pc, frac, true);
+            }
+        }
+        self.cost_from_samples(pc, interaction, misses, pess, opt)
+    }
+}
+
+/// The element type of the multi-lane pass. Floats hold every integer
+/// below `EXACT` exactly and add and compare such integers exactly;
+/// unlike 32-bit integer max, float max is a single instruction
+/// (`maxps`/`maxpd`) on baseline x86-64.
+trait Lane: Copy + Default + PartialOrd + std::ops::Add<Output = Self> + std::ops::AddAssign {
+    /// Node times below this bound are exact.
+    const EXACT: u64;
+    fn of(v: u64) -> Self;
+    fn get(self) -> u64;
+}
+
+impl Lane for f32 {
+    const EXACT: u64 = 1 << f32::MANTISSA_DIGITS;
+    fn of(v: u64) -> f32 {
+        v as f32
+    }
+    fn get(self) -> u64 {
+        self as u64
+    }
+}
+
+impl Lane for f64 {
+    const EXACT: u64 = 1 << f64::MANTISSA_DIGITS;
+    fn of(v: u64) -> f64 {
+        v as f64
+    }
+    fn get(self) -> u64 {
+        self as u64
+    }
+}
+
+/// The larger of two lane values. Lane values are never NaN, so a plain
+/// compare-and-select suffices; it compiles to one `maxps`/`maxpd` lane,
+/// where `f32::max` adds NaN handling.
+#[inline(always)]
+fn max<T: Lane>(a: T, b: T) -> T {
+    if a > b {
+        a
+    } else {
+        b
     }
 }
 
@@ -570,7 +657,8 @@ mod tests {
 
     /// The multi-lane cycles-only evaluator must reproduce the scalar
     /// longest-path sampling bit-for-bit: same cycles per sample, hence
-    /// identical cost-function points, for every interaction model.
+    /// identical cost-function points, for every interaction model —
+    /// whether the loads are evaluated one per pass or fused into one.
     #[test]
     fn batched_sampling_matches_scalar_reference() {
         for name in ["gap", "mcf", "gcc"] {
@@ -578,56 +666,79 @@ mod tests {
             let ann = MemAnnotation::compute(&t, HierarchyConfig::default());
             let prof = preexec_trace::Profile::compute(&p, &t, &ann);
             let m = CritPathModel::new(&t, &ann, CritPathConfig::default());
-            assert!(m.lanes_safe(), "{name} baseline must fit 32-bit lanes");
-            for pl in prof.problem_loads(&p, 100).iter().take(4) {
-                for im in [
-                    InteractionModel::Pessimistic,
-                    InteractionModel::Optimistic,
-                    InteractionModel::Averaged,
-                ] {
-                    let fast = m.load_cost_with(pl.pc, im);
-                    let misses = fast.misses();
-                    let slow = m.load_cost_scalar(pl.pc, im, misses, m.tolerable_cycles() as f64);
-                    assert_eq!(
-                        format!("{fast:?}"),
-                        format!("{slow:?}"),
-                        "{name} pc {} {im:?}",
-                        pl.pc
-                    );
+            assert!(
+                m.execution_time() < <f32 as Lane>::EXACT,
+                "{name} baseline must fit the f32 lanes"
+            );
+            let pcs: Vec<Pc> = prof
+                .problem_loads(&p, 100)
+                .iter()
+                .take(4)
+                .map(|pl| pl.pc)
+                .collect();
+            for im in [
+                InteractionModel::Pessimistic,
+                InteractionModel::Optimistic,
+                InteractionModel::Averaged,
+            ] {
+                let fused = m.load_costs_with(&pcs, im);
+                for (pc, fast) in pcs.iter().zip(&fused) {
+                    let slow = m.load_cost_scalar(*pc, im, fast.misses());
+                    assert_eq!(fast, &slow, "{name} pc {pc} {im:?}");
+                    assert_eq!(fast, &m.load_cost_with(*pc, im), "{name} pc {pc} {im:?}");
                 }
             }
         }
     }
 
-    /// Direct lane-vs-scalar check on the raw cycle counts, including the
-    /// frac-0 optimistic base sample.
+    /// Both lane types reproduce the scalar evaluator's raw cycle counts,
+    /// lane by lane, including the frac-0 optimistic base sample.
     #[test]
     fn lane_cycles_equal_longest_path_cycles() {
-        let (p, t) = model_for("gap");
+        let (p, t) = model_for("gcc");
         let ann = MemAnnotation::compute(&t, HierarchyConfig::default());
         let prof = preexec_trace::Profile::compute(&p, &t, &ann);
         let m = CritPathModel::new(&t, &ann, CritPathConfig::default());
-        let pc = prof.problem_loads(&p, 100)[0].pc;
-        let red = |f: f64| m.reduced_latency(f) as u32;
-        let mut te4 = Vec::new();
-        let mut te5 = Vec::new();
-        let pess = m.cycles_lanes(
-            &mut te4,
-            pc,
-            [red(0.25), red(0.5), red(0.75), red(1.0)],
-            [false; 4],
-        );
-        let opt = m.cycles_lanes(
-            &mut te5,
-            pc,
-            [red(0.0), red(0.25), red(0.5), red(0.75), red(1.0)],
-            [true; 5],
-        );
-        for (k, &frac) in [0.25, 0.5, 0.75, 1.0].iter().enumerate() {
-            assert_eq!(pess[k], m.time_with_reduction(pc, frac, false));
-            assert_eq!(opt[k + 1], m.time_with_reduction(pc, frac, true));
-        }
-        assert_eq!(opt[0], m.time_with_reduction(pc, 0.0, true));
+        let mut pcs: Vec<Pc> = prof.problem_loads(&p, 100)[..2]
+            .iter()
+            .map(|pl| pl.pc)
+            .collect();
+        pcs.sort_unstable();
+        let scalar: Vec<u64> = pcs
+            .iter()
+            .flat_map(|&pc| LANES.map(|(frac, others)| m.time_with_reduction(pc, frac, others)))
+            .collect();
+        assert_eq!(m.lanes_pass::<f32, 20>(&pcs), scalar);
+        assert_eq!(m.lanes_pass::<f64, 20>(&pcs), scalar);
+    }
+
+    /// The compact baseline walk agrees with the public evaluator fed the
+    /// same per-instruction inputs.
+    #[test]
+    fn baseline_equals_longest_path_over_base_inputs() {
+        let (_, t) = model_for("twolf");
+        let ann = MemAnnotation::compute(&t, HierarchyConfig::default());
+        let m = CritPathModel::new(&t, &ann, CritPathConfig::default());
+        let r = longest_path(&t, &m.base_inputs(), &m.cfg);
+        assert_eq!(r.cycles, m.execution_time());
+        assert_eq!(r.breakdown, m.breakdown());
+    }
+
+    /// Duplicate and miss-free PCs in one request are answered in request
+    /// order without disturbing the others.
+    #[test]
+    fn load_costs_keep_request_order() {
+        let (p, t) = model_for("gcc");
+        let ann = MemAnnotation::compute(&t, HierarchyConfig::default());
+        let prof = preexec_trace::Profile::compute(&p, &t, &ann);
+        let m = CritPathModel::new(&t, &ann, CritPathConfig::default());
+        let probs = prof.problem_loads(&p, 100);
+        let (a, b) = (probs[0].pc, probs[1].pc);
+        let costs = m.load_costs(&[b, 99_999, a, b]);
+        assert_eq!(costs[0], m.load_cost(b));
+        assert_eq!(costs[1].misses(), 0);
+        assert_eq!(costs[2], m.load_cost(a));
+        assert_eq!(costs[3], costs[0]);
     }
 
     #[test]

@@ -255,7 +255,7 @@ impl PreparedBase {
         // Criticality cost functions.
         let (costs, cp_breakdown, cp_ipc) = m.time(Stage::Critpath, || {
             let cp = CritPathModel::new(&trace, &ann, cfg.critpath_config());
-            let costs: Vec<LoadCost> = problem_pcs.iter().map(|&pc| cp.load_cost(pc)).collect();
+            let costs: Vec<LoadCost> = cp.load_costs(&problem_pcs);
             (costs, cp.breakdown(), cp.ipc())
         });
 

@@ -1,6 +1,7 @@
 //! Backward dynamic slicing.
 
-use preexec_trace::{Seq, Trace};
+use preexec_trace::{Seq, Trace, NO_DEP};
+use std::collections::BinaryHeap;
 
 /// Configuration of the slicing pass, defaulting to the paper's settings:
 /// a 2048-instruction slicing window and 64 instructions per linear
@@ -36,49 +37,77 @@ impl Default for SliceConfig {
 /// first, then producers by descending sequence number — truncated to
 /// `cfg.window` reach and `cfg.max_body` length.
 pub fn backward_slice(trace: &Trace, target: Seq, cfg: &SliceConfig) -> Vec<Seq> {
-    let low = target.saturating_sub(cfg.window);
-    let mut in_slice: Vec<Seq> = Vec::with_capacity(cfg.max_body);
-    let mut worklist: Vec<Seq> = vec![target];
-    let mut seen = std::collections::HashSet::new();
-    seen.insert(target);
-    while let Some(s) = worklist.pop() {
-        in_slice.push(s);
-        let e = trace.event(s);
-        for dep in e.src_deps.iter().flatten() {
-            if *dep >= low && seen.insert(*dep) {
-                worklist.push(*dep);
+    let target = u32::try_from(target).expect("trace sequence numbers fit 32 bits");
+    let mut out = Vec::with_capacity(cfg.max_body);
+    Slicer::default().slice(trace, target, cfg, &mut out);
+    out.into_iter().map(Seq::from).collect()
+}
+
+/// Reusable scratch for slicing many instances of one trace without
+/// allocating per instance.
+#[derive(Debug, Default)]
+pub(crate) struct Slicer {
+    /// Pending producers; the max-heap hands them out newest first.
+    pending: BinaryHeap<u32>,
+}
+
+impl Slicer {
+    /// [`backward_slice`] of `target` into `out` (cleared first).
+    ///
+    /// Producers always precede their consumers, so popping pending
+    /// producers newest-first enumerates the closure in descending order:
+    /// by the time an instruction pops, every consumer that could reach it
+    /// has been expanded. Duplicates (diamonds in the dataflow) therefore
+    /// pop back to back, and the walk can stop at `cfg.max_body` members —
+    /// exactly the newest ones, which is the truncation the slice needs.
+    /// Its cost is bounded by the body cap, not by the window.
+    pub(crate) fn slice(
+        &mut self,
+        trace: &Trace,
+        target: u32,
+        cfg: &SliceConfig,
+        out: &mut Vec<u32>,
+    ) {
+        let deps = trace.deps();
+        let low = u64::from(target).saturating_sub(cfg.window);
+        out.clear();
+        self.pending.clear();
+        self.pending.push(target);
+        while out.len() < cfg.max_body {
+            let Some(s) = self.pending.pop() else { break };
+            if out.last() == Some(&s) {
+                continue;
+            }
+            out.push(s);
+            let [a, b, _] = deps[s as usize];
+            for d in [a, b] {
+                if d != NO_DEP && u64::from(d) >= low {
+                    self.pending.push(d);
+                }
             }
         }
+        // Truncation keeps the newest members, so the kept suffix stays
+        // dependence-closed: a kept instruction's missing producers all
+        // executed before the eventual trigger and their values arrive
+        // through the spawn-time register checkpoint as live-ins.
+        // Dropping newest-first instead would cut consumers out of the
+        // middle of the chain and leave kept producers feeding nothing.
+        debug_assert!(is_suffix_closed(trace, out, low));
     }
-    // Truncate oldest-first: when the closure exceeds `max_body`, the
-    // dropped elements must all be *older* than every kept one, so the
-    // kept suffix stays dependence-closed — a kept instruction's missing
-    // producers all executed before the eventual trigger and their values
-    // arrive through the spawn-time register checkpoint as live-ins.
-    // Dropping newest-first instead would cut consumers out of the middle
-    // of the chain and leave kept producers feeding nothing.
-    in_slice.sort_unstable();
-    let excess = in_slice.len().saturating_sub(cfg.max_body);
-    in_slice.drain(..excess);
-    in_slice.reverse();
-    debug_assert!(is_suffix_closed(trace, &in_slice, low));
-    in_slice
 }
 
 /// `true` when every in-window dependence of a kept element is itself
 /// kept or precedes the oldest kept element (and is therefore visible in
 /// the spawn checkpoint). `slice` is in backward (descending) order.
-fn is_suffix_closed(trace: &Trace, slice: &[Seq], low: Seq) -> bool {
+fn is_suffix_closed(trace: &Trace, slice: &[u32], low: Seq) -> bool {
     let Some(&oldest) = slice.last() else {
         return true;
     };
     slice.iter().all(|&s| {
-        trace
-            .event(s)
-            .src_deps
-            .iter()
-            .flatten()
-            .all(|&dep| dep < low || dep < oldest || slice.contains(&dep))
+        let [a, b, _] = trace.deps()[s as usize];
+        [a, b].into_iter().all(|dep| {
+            dep == NO_DEP || u64::from(dep) < low || dep < oldest || slice.contains(&dep)
+        })
     })
 }
 
@@ -225,8 +254,9 @@ mod tests {
         let p = b.build();
         let t = FuncSim::new(&p).run_trace(100);
         let s = backward_slice(&t, 3, &SliceConfig::default());
-        assert!(is_suffix_closed(&t, &s, 0));
-        let broken: Vec<Seq> = vec![3, 1, 0]; // dropped seq 2, kept its producer
+        let kept: Vec<u32> = s.iter().map(|&x| x as u32).collect();
+        assert!(is_suffix_closed(&t, &kept, 0));
+        let broken = [3, 1, 0]; // dropped seq 2, kept its producer
         assert!(!is_suffix_closed(&t, &broken, 0));
     }
 

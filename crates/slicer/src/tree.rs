@@ -9,9 +9,10 @@
 //! `DCptcm` (dynamic misses whose slice passes through the node) and
 //! `DCtrig` (dynamic executions of the trigger instruction).
 
-use crate::{backward_slice, SliceConfig};
+use crate::slice::Slicer;
+use crate::SliceConfig;
 use preexec_isa::{Inst, Pc, Program};
-use preexec_trace::{MemAnnotation, Profile, Trace};
+use preexec_trace::{MemAnnotation, Profile, Seq, Trace};
 
 /// Identifier of a node within one [`SliceTree`].
 pub type NodeId = usize;
@@ -73,11 +74,16 @@ impl SliceTree {
         root_pc: Pc,
         cfg: &SliceConfig,
     ) -> SliceTree {
-        let instances: Vec<preexec_trace::Seq> = trace
-            .iter()
-            .filter(|e| e.pc == root_pc && e.inst.is_load() && ann.is_l2_miss(e.seq))
-            .map(|e| e.seq)
-            .collect();
+        let instances: Vec<Seq> = if trace.static_inst(root_pc).is_load() {
+            trace
+                .mem_seqs()
+                .iter()
+                .map(|&seq| Seq::from(seq))
+                .filter(|&seq| trace.pcs()[seq as usize] == root_pc && ann.is_l2_miss(seq))
+                .collect()
+        } else {
+            Vec::new()
+        };
         SliceTree::build_from_instances(program, trace, profile, root_pc, &instances, cfg)
     }
 
@@ -94,7 +100,7 @@ impl SliceTree {
         trace: &Trace,
         profile: &Profile,
         root_pc: Pc,
-        instances: &[preexec_trace::Seq],
+        instances: &[Seq],
         cfg: &SliceConfig,
     ) -> SliceTree {
         let root = SliceNode {
@@ -112,21 +118,27 @@ impl SliceTree {
             root_pc,
             nodes: vec![root],
         };
-        for &seq in instances {
-            let e = trace.event(seq);
-            assert_eq!(e.pc, root_pc, "instance pc must match the root");
-            let path = backward_slice(trace, e.seq, cfg);
+        let pcs = trace.pcs();
+        let mut slicer = Slicer::default();
+        let mut path = Vec::with_capacity(cfg.max_body);
+        for &target in instances {
+            let target = u32::try_from(target).expect("trace sequence numbers fit 32 bits");
+            assert_eq!(
+                pcs[target as usize], root_pc,
+                "instance pc must match the root"
+            );
+            slicer.slice(trace, target, cfg, &mut path);
             // Walk/extend the tree along the backward path (skipping the
             // root element itself at index 0).
             let mut node = 0;
             tree.nodes[0].dc_ptcm += 1;
             for (k, &seq) in path.iter().enumerate().skip(1) {
-                let ev = trace.event(seq);
+                let pc = pcs[seq as usize];
                 let next = match tree.nodes[node]
                     .children
                     .iter()
                     .copied()
-                    .find(|&c| tree.nodes[c].pc == ev.pc)
+                    .find(|&c| tree.nodes[c].pc == pc)
                 {
                     Some(c) => c,
                     None => {
@@ -138,11 +150,11 @@ impl SliceTree {
                             id,
                             parent: Some(node),
                             children: Vec::new(),
-                            pc: ev.pc,
-                            inst: ev.inst,
+                            pc,
+                            inst: trace.static_inst(pc),
                             depth: k as u32,
                             dc_ptcm: 0,
-                            dc_trig: profile.pc_stats(ev.pc).execs,
+                            dc_trig: profile.pc_stats(pc).execs,
                             lookahead_sum: 0,
                         });
                         tree.nodes[node].children.push(id);
@@ -150,7 +162,7 @@ impl SliceTree {
                     }
                 };
                 tree.nodes[next].dc_ptcm += 1;
-                tree.nodes[next].lookahead_sum += e.seq - seq;
+                tree.nodes[next].lookahead_sum += u64::from(target - seq);
                 node = next;
             }
         }

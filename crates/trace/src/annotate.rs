@@ -29,18 +29,16 @@ impl MemAnnotation {
     pub fn compute(trace: &Trace, cfg: HierarchyConfig) -> MemAnnotation {
         let mut hier = Hierarchy::new(cfg);
         let mut served = vec![None; trace.len()];
-        for e in trace {
-            if let Some(addr) = e.addr {
-                // Timestamps far apart so every fill has completed by the
-                // next access: we want steady-state level classification.
-                let now = e.seq.saturating_mul(1000);
-                let acc = if e.inst.is_store() {
-                    hier.store(addr, now)
-                } else {
-                    hier.load(addr, now)
-                };
-                served[e.seq as usize] = Some(acc.served);
-            }
+        for (&seq, &addr) in trace.mem_seqs().iter().zip(trace.mem_addrs()) {
+            // Timestamps far apart so every fill has completed by the
+            // next access: we want steady-state level classification.
+            let now = u64::from(seq).saturating_mul(1000);
+            let acc = if trace.static_inst(trace.pcs()[seq as usize]).is_store() {
+                hier.store(addr, now)
+            } else {
+                hier.load(addr, now)
+            };
+            served[seq as usize] = Some(acc.served);
         }
         MemAnnotation { served, cfg }
     }
@@ -83,9 +81,12 @@ impl MemAnnotation {
     /// Sequence numbers of all L2-missing loads, in retirement order.
     pub fn l2_miss_seqs<'a>(&'a self, trace: &'a Trace) -> impl Iterator<Item = Seq> + 'a {
         trace
+            .mem_seqs()
             .iter()
-            .filter(|e| e.inst.is_load() && self.is_l2_miss(e.seq))
-            .map(|e| e.seq)
+            .map(|&seq| Seq::from(seq))
+            .filter(|&seq| {
+                self.is_l2_miss(seq) && trace.static_inst(trace.pcs()[seq as usize]).is_load()
+            })
     }
 }
 

@@ -228,16 +228,19 @@ impl<'p> FuncSim<'p> {
         n
     }
 
-    /// Runs (up to `max_insts`) and collects the full trace.
+    /// Runs (up to `max_insts`, and at most `u32::MAX` instructions, the
+    /// most a [`Trace`] indexes) and collects the full trace.
     pub fn run_trace(mut self, max_insts: u64) -> Trace {
-        let mut events = Vec::with_capacity(max_insts.min(1 << 20) as usize);
-        while (events.len() as u64) < max_insts {
+        let max = max_insts.min(u64::from(u32::MAX)) as usize;
+        let mut trace = Trace::with_capacity(self.program.insts(), max.min(1 << 20));
+        while trace.len() < max {
             match self.step() {
-                Step::Retired(e) => events.push(e),
+                Step::Retired(e) => trace.push(&e),
                 Step::Halted => break,
             }
         }
-        Trace::from_parts(events, self.halted)
+        trace.finish(self.halted);
+        trace
     }
 }
 

@@ -7,6 +7,9 @@
 //! * [`Trace`]/[`TraceEvent`] — retirement-order dynamic instruction stream
 //!   with register and memory dataflow provenance (producer sequence
 //!   numbers), which the backward slicer and critical-path analyzer walk.
+//!   The trace is stored column-wise (PC, producers, a branch bit, and
+//!   addresses for memory instructions only); events are assembled on
+//!   demand.
 //! * [`MemAnnotation`] — classifies every dynamic memory access by the
 //!   cache level that served it.
 //! * [`Profile`]/[`ProblemLoad`] — per-static-instruction statistics and
@@ -38,6 +41,6 @@ mod func;
 mod profile;
 
 pub use annotate::MemAnnotation;
-pub use event::{Seq, Trace, TraceEvent};
+pub use event::{Events, Seq, Trace, TraceEvent, NO_DEP};
 pub use func::{FuncSim, Step};
 pub use profile::{PcStats, ProblemLoad, Profile};

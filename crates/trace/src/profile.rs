@@ -85,13 +85,14 @@ impl Profile {
     pub fn compute(program: &Program, trace: &Trace, ann: &MemAnnotation) -> Profile {
         let mut per_pc = vec![PcStats::default(); program.len()];
         let mut total_l2 = 0;
-        for e in trace {
-            let s = &mut per_pc[e.pc as usize];
+        for (seq, &pc) in trace.pcs().iter().enumerate() {
+            let s = &mut per_pc[pc as usize];
             s.execs += 1;
-            if e.taken == Some(true) {
-                s.taken += 1;
-            }
-            match ann.served(e.seq) {
+            s.taken += u64::from(trace.taken_bit(seq));
+        }
+        for &seq in trace.mem_seqs() {
+            let s = &mut per_pc[trace.pcs()[seq as usize] as usize];
+            match ann.served(seq.into()) {
                 Some(Level::L2) => s.l1_misses += 1,
                 Some(Level::Mem) => {
                     s.l1_misses += 1;
