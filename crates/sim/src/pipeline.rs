@@ -27,11 +27,14 @@
 //! `reference-pipeline` feature, and differentially tested against it in
 //! `tests/fastpath.rs`):
 //!
-//! * The in-flight window is a flat **struct-of-arrays arena** indexed by
-//!   `InstId`: state, dependences (inline, at most two register sources
-//!   plus one store-set producer), completion times, and addresses live in
-//!   parallel vectors, so the issue scan touches dense memory instead of
-//!   chasing per-instruction heap allocations.
+//! * The in-flight window is a **struct-of-arrays ring** of live entries:
+//!   state, dependences (inline, at most two register sources plus one
+//!   store-set producer), completion times, and addresses live in parallel
+//!   power-of-two vectors, so the issue scan touches dense memory instead
+//!   of chasing per-instruction heap allocations. Ids are dispatch-ordered
+//!   `u32`s that never repeat; an id's slot is recycled once the window's
+//!   horizon passes it, i.e. once nothing can still ask for more about it
+//!   than "complete" (see [`Window`] and DESIGN.md).
 //! * Speculative memory and the store-producer set use
 //!   [`preexec_isa::FlatMap`] (open addressing, splitmix64) instead of
 //!   SipHash `HashMap`s; trigger, hint, and branch-occurrence tables are
@@ -57,7 +60,8 @@ use pthsel::PThread;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-/// Index of an in-flight instruction in the window arena.
+/// Dispatch-order id of an in-flight instruction; its window slot is
+/// `id & mask`.
 type InstId = u32;
 
 const MAIN: u8 = u8::MAX;
@@ -65,6 +69,15 @@ const MAIN: u8 = u8::MAX;
 /// Inline dependence capacity: two register sources plus one store-set
 /// producer (loads only).
 const MAX_DEPS: usize = 3;
+
+/// Ids stay below this so a waiter-chain link (`id * MAX_DEPS + slot`)
+/// fits a `u32`.
+const MAX_INST_ID: InstId = (u32::MAX - 1) / MAX_DEPS as u32;
+
+/// Initial window ring capacity (a power of two). The ring doubles when
+/// the oldest live entry blocks the next slot, so this is a starting
+/// size, not a limit.
+const WINDOW_INITIAL_CAPACITY: usize = 256;
 
 /// Per-branch fetch-hint queue capacity (matches the reference pipeline's
 /// 64-entry cap).
@@ -80,17 +93,32 @@ enum State {
     Squashed,
 }
 
-/// The in-flight instruction arena, struct-of-arrays: one entry per
-/// dispatched instruction, never removed (ids stay valid for the whole
-/// run, exactly like the reference pipeline's `Vec<InFlight>` arena).
-#[derive(Clone, Debug, Default)]
+/// The in-flight instruction window, struct-of-arrays: a power-of-two
+/// ring of the live entries `oldest..next`, id `i` in slot `i & mask`.
+///
+/// Ids increase monotonically and are never reused, so ROB order and
+/// every id comparison mean dispatch order. The horizon `oldest` only
+/// moves past *complete* entries (see [`Simulator::make_room`]): a
+/// main-thread entry that has left the ROB (committed or squashed), or a
+/// p-instruction that has issued and whose result is ready. Any id below
+/// the horizon therefore reads as issued with `done_at <= now`
+/// ([`Window::producer_done`]), which is all a later consumer can ask of
+/// it; calendar entries below the horizon are stale and dropped.
+#[derive(Clone, Debug)]
 struct Window {
+    /// Every id below this is complete and its slot may be reused.
+    oldest: InstId,
+    /// The id the next dispatched instruction gets.
+    next: InstId,
+    /// Ring capacity minus one.
+    mask: InstId,
     /// `MAIN` or p-thread context index.
     thread: Vec<u8>,
     inst: Vec<Inst>,
     wrong_path: Vec<bool>,
     state: Vec<u8>, // State encoded; see STATE_* consts
-    /// Inline dependence list; only the first `dep_cnt` entries are live.
+    /// Inline dependence list (producer ids); only the first `dep_cnt`
+    /// entries are live.
     deps: Vec<[InstId; MAX_DEPS]>,
     dep_cnt: Vec<u8>,
     dispatched_at: Vec<u64>,
@@ -111,8 +139,9 @@ struct Window {
     /// the last one to issue computes the final ready cycle.
     pending: Vec<u8>,
     /// Head of this instruction's waiter chain: consumers to wake when it
-    /// issues, encoded as `consumer * MAX_DEPS + dep_slot` (`u32::MAX` =
-    /// none).
+    /// issues, encoded as `consumer id * MAX_DEPS + dep_slot` (`u32::MAX`
+    /// = none). Consumers are younger than their producer, so a chain
+    /// only ever names live entries.
     waiter_head: Vec<u32>,
     /// Per-dependence-slot chain links for the waiter lists.
     waiter_next: Vec<[u32; MAX_DEPS]>,
@@ -123,10 +152,76 @@ const STATE_ISSUED: u8 = 1;
 const STATE_SQUASHED: u8 = 2;
 
 impl Window {
-    fn len(&self) -> usize {
-        self.thread.len()
+    fn with_capacity(capacity: usize) -> Window {
+        debug_assert!(capacity.is_power_of_two());
+        Window {
+            oldest: 0,
+            next: 0,
+            mask: capacity as InstId - 1,
+            thread: vec![MAIN; capacity],
+            inst: vec![Inst::Nop; capacity],
+            wrong_path: vec![false; capacity],
+            state: vec![STATE_SQUASHED; capacity],
+            deps: vec![[0; MAX_DEPS]; capacity],
+            dep_cnt: vec![0; capacity],
+            dispatched_at: vec![0; capacity],
+            done_at: vec![0; capacity],
+            addr: vec![0; capacity],
+            checkpoint: vec![None; capacity],
+            pos_in_waiting: vec![u32::MAX; capacity],
+            pending: vec![0; capacity],
+            waiter_head: vec![u32::MAX; capacity],
+            waiter_next: vec![[u32::MAX; MAX_DEPS]; capacity],
+        }
     }
 
+    /// The ring slot of live id `id`.
+    #[inline]
+    fn slot(&self, id: InstId) -> usize {
+        (id & self.mask) as usize
+    }
+
+    #[inline]
+    fn is_full(&self) -> bool {
+        self.next - self.oldest > self.mask
+    }
+
+    /// Whether `id` may leave the window: a main-thread entry once it has
+    /// left the ROB (`rob_head` is the ROB's oldest id, or `next` when the
+    /// ROB is empty), a p-instruction once its result is ready at `now`.
+    fn is_complete(&self, id: InstId, rob_head: InstId, now: u64) -> bool {
+        let i = self.slot(id);
+        if self.thread[i] == MAIN {
+            id < rob_head || self.state[i] == STATE_SQUASHED
+        } else {
+            self.state[i] == STATE_ISSUED && self.done_at[i] <= now
+        }
+    }
+
+    /// Doubles the ring. Concatenating every column with itself puts each
+    /// live id at `id & new_mask`, because that slot's copy is the old
+    /// `id & mask`; the other copy is a dead slot, overwritten on reuse.
+    #[cold]
+    fn grow(&mut self) {
+        self.thread.extend_from_within(..);
+        self.inst.extend_from_within(..);
+        self.wrong_path.extend_from_within(..);
+        self.state.extend_from_within(..);
+        self.deps.extend_from_within(..);
+        self.dep_cnt.extend_from_within(..);
+        self.dispatched_at.extend_from_within(..);
+        self.done_at.extend_from_within(..);
+        self.addr.extend_from_within(..);
+        self.checkpoint.extend_from_within(..);
+        self.pos_in_waiting.extend_from_within(..);
+        self.pending.extend_from_within(..);
+        self.waiter_head.extend_from_within(..);
+        self.waiter_next.extend_from_within(..);
+        self.mask = self.mask * 2 + 1;
+    }
+
+    /// Dispatches one instruction into the slot of the next id. The caller
+    /// has made room ([`Simulator::make_room`]).
     #[allow(clippy::too_many_arguments)]
     fn push(
         &mut self,
@@ -139,30 +234,57 @@ impl Window {
         addr: u64,
         checkpoint: Option<Box<CommitSpawn>>,
     ) -> InstId {
-        let id = self.thread.len() as InstId;
-        self.thread.push(thread);
-        self.inst.push(inst);
-        self.wrong_path.push(wrong_path);
-        self.state.push(STATE_WAITING);
-        self.deps.push(deps);
-        self.dep_cnt.push(dep_cnt);
-        self.dispatched_at.push(dispatched_at);
-        self.done_at.push(u64::MAX);
-        self.addr.push(addr);
-        self.checkpoint.push(checkpoint);
-        self.pos_in_waiting.push(u32::MAX);
-        self.pending.push(0);
-        self.waiter_head.push(u32::MAX);
-        self.waiter_next.push([u32::MAX; MAX_DEPS]);
+        let id = self.next;
+        assert!(id < MAX_INST_ID, "instruction window id space exhausted");
+        debug_assert!(!self.is_full(), "window push without room");
+        let i = self.slot(id);
+        self.thread[i] = thread;
+        self.inst[i] = inst;
+        self.wrong_path[i] = wrong_path;
+        self.state[i] = STATE_WAITING;
+        self.deps[i] = deps;
+        self.dep_cnt[i] = dep_cnt;
+        self.dispatched_at[i] = dispatched_at;
+        self.done_at[i] = u64::MAX;
+        self.addr[i] = addr;
+        self.checkpoint[i] = checkpoint;
+        self.pos_in_waiting[i] = u32::MAX;
+        self.pending[i] = 0;
+        self.waiter_head[i] = u32::MAX;
+        self.waiter_next[i] = [u32::MAX; MAX_DEPS];
+        self.next = id + 1;
         id
+    }
+
+    /// Whether `id` is a live entry waiting to issue (calendar entries
+    /// below the horizon are stale).
+    #[inline]
+    fn is_waiting(&self, id: InstId) -> bool {
+        id >= self.oldest && self.state[self.slot(id)] == STATE_WAITING
     }
 
     #[inline]
     fn state_of(&self, id: InstId) -> State {
-        match self.state[id as usize] {
+        match self.state[self.slot(id)] {
             STATE_WAITING => State::Waiting,
             STATE_ISSUED => State::Issued,
             _ => State::Squashed,
+        }
+    }
+
+    /// Completion cycle of producer `d` as a consumer sees it: `u64::MAX`
+    /// until it issues, then its final `done_at`. A producer below the
+    /// horizon completed at or before the current cycle; it reads as `0`.
+    /// That changes no result: a ready time is computed at dispatch or
+    /// when the last producer issues, so it is later than the current
+    /// cycle either way, and the fast-forward scan only asks whether the
+    /// next event is later than the next cycle.
+    #[inline]
+    fn producer_done(&self, d: InstId) -> u64 {
+        if d < self.oldest {
+            0
+        } else {
+            self.done_at[self.slot(d)]
         }
     }
 }
@@ -380,7 +502,7 @@ impl<'p> Simulator<'p> {
             spec_mem,
             reg_producer: [None; NUM_ARCH_REGS],
             store_producer: FlatMap::new(),
-            window: Window::default(),
+            window: Window::with_capacity(WINDOW_INITIAL_CAPACITY),
             rob: VecDeque::new(),
             waiting: Vec::new(),
             // Wheel horizon: comfortably past one full memory round
@@ -560,6 +682,13 @@ impl<'p> Simulator<'p> {
         self.executed_cycles
     }
 
+    /// Capacity of the in-flight window ring at this point of the run: it
+    /// starts at 256 entries and doubles whenever the oldest live entry
+    /// blocks the next slot. Diagnostic only (never part of the report).
+    pub fn window_capacity(&self) -> usize {
+        self.window.mask as usize + 1
+    }
+
     /// Architectural register values of the in-order (speculative) state;
     /// equal to the committed state once the run finishes.
     pub fn spec_regs(&self) -> [u64; NUM_ARCH_REGS] {
@@ -578,6 +707,36 @@ impl<'p> Simulator<'p> {
             0
         } else {
             self.spec_regs[r.index()]
+        }
+    }
+
+    // ----- window horizon -----
+
+    /// Makes room in the window ring for one more entry. When the ring is
+    /// full, the horizon advances past every complete entry at its tail
+    /// (see [`Window`]); if the oldest live entry still blocks the slot,
+    /// the ring doubles rather than overwrite it.
+    #[inline]
+    fn make_room(&mut self) {
+        if self.window.is_full() {
+            self.advance_horizon();
+        }
+    }
+
+    #[cold]
+    fn advance_horizon(&mut self) {
+        let rob_head = self.rob.front().copied().unwrap_or(self.window.next);
+        while self.window.oldest < self.window.next
+            && self
+                .window
+                .is_complete(self.window.oldest, rob_head, self.cycle)
+        {
+            #[cfg(feature = "sanitize")]
+            self.sanitize_horizon(self.window.oldest);
+            self.window.oldest += 1;
+        }
+        if self.window.is_full() {
+            self.window.grow();
         }
     }
 
@@ -612,7 +771,7 @@ impl<'p> Simulator<'p> {
         // (A still-waiting one is covered by its issue candidate below.)
         if let Some(bid) = self.redirect_branch {
             if self.window.state_of(bid) == State::Issued {
-                t = t.min(self.window.done_at[bid as usize]);
+                t = t.min(self.window.done_at[self.window.slot(bid)]);
             }
         }
         // Commit: the ROB head retires at done_at once issued. A squashed
@@ -620,7 +779,7 @@ impl<'p> Simulator<'p> {
         // Waiting (covered below) or Issued heads reach here.
         if let Some(&head) = self.rob.front() {
             if self.window.state_of(head) == State::Issued {
-                t = t.min(self.window.done_at[head as usize]);
+                t = t.min(self.window.done_at[self.window.slot(head)]);
             }
         }
         // Issue: per waiting instruction, the earliest cycle its operands
@@ -634,17 +793,17 @@ impl<'p> Simulator<'p> {
             0
         };
         'waiting: for &id in &self.waiting {
-            let i = id as usize;
+            let i = self.window.slot(id);
             let mut c = self.window.dispatched_at[i] + 1;
             let n = self.window.dep_cnt[i] as usize;
             for k in 0..n {
-                let d = self.window.deps[i][k] as usize;
-                if self.window.state[d] != STATE_ISSUED {
+                let done = self.window.producer_done(self.window.deps[i][k]);
+                if done == u64::MAX {
                     // Producer not yet issued: this instruction cannot be
                     // the next event (its producer's issue is).
                     continue 'waiting;
                 }
-                c = c.max(self.window.done_at[d]);
+                c = c.max(done);
             }
             if mshr_full && self.window.inst[i].class() == InstClass::Load {
                 c = c.max(mshr_free_at);
@@ -682,7 +841,7 @@ impl<'p> Simulator<'p> {
             return false;
         };
         let done = self.window.state_of(bid) == State::Issued
-            && self.window.done_at[bid as usize] <= self.cycle;
+            && self.window.done_at[self.window.slot(bid)] <= self.cycle;
         if !done {
             return false;
         }
@@ -694,19 +853,21 @@ impl<'p> Simulator<'p> {
         let mut keep = 0;
         for i in 0..self.waiting.len() {
             let id = self.waiting[i];
-            if window.wrong_path[id as usize] {
-                window.state[id as usize] = STATE_SQUASHED;
-                window.pos_in_waiting[id as usize] = u32::MAX;
+            let s = window.slot(id);
+            if window.wrong_path[s] {
+                window.state[s] = STATE_SQUASHED;
+                window.pos_in_waiting[s] = u32::MAX;
             } else {
                 self.waiting[keep] = id;
-                window.pos_in_waiting[id as usize] = keep as u32;
+                window.pos_in_waiting[s] = keep as u32;
                 keep += 1;
             }
         }
         self.waiting.truncate(keep);
         while let Some(&tail) = self.rob.back() {
-            if self.window.wrong_path[tail as usize] {
-                self.window.state[tail as usize] = STATE_SQUASHED;
+            let s = self.window.slot(tail);
+            if self.window.wrong_path[s] {
+                self.window.state[s] = STATE_SQUASHED;
                 self.rob.pop_back();
             } else {
                 break;
@@ -728,7 +889,7 @@ impl<'p> Simulator<'p> {
             let Some(&head) = self.rob.front() else {
                 return progressed;
             };
-            let i = head as usize;
+            let i = self.window.slot(head);
             let state = self.window.state_of(head);
             if state == State::Squashed {
                 self.rob.pop_front();
@@ -807,9 +968,9 @@ impl<'p> Simulator<'p> {
         // Drain every calendar slot that has come due. Draining the full
         // `(wheel_drained, cycle]` span rather than exactly `cycle`
         // covers fast-forward jumps and deferred port-blocked retries.
-        // Since-squashed entries are dropped here (a squashed
-        // instruction never becomes waiting again, so a stale calendar
-        // entry cannot alias a live one).
+        // Stale entries are dropped here: a since-squashed instruction
+        // never becomes waiting again, and an id below the window horizon
+        // names a recycled slot, so neither can alias a live entry.
         if self.calendar_len == 0 {
             self.wheel_drained = self.cycle;
             return false;
@@ -826,7 +987,7 @@ impl<'p> Simulator<'p> {
             for k in 0..self.wheel[slot].len() {
                 let id = self.wheel[slot][k];
                 self.calendar_len -= 1;
-                if self.window.state[id as usize] == STATE_WAITING {
+                if self.window.is_waiting(id) {
                     self.issue_cand.push(id);
                 }
             }
@@ -838,7 +999,7 @@ impl<'p> Simulator<'p> {
             }
             for id in entry.remove() {
                 self.calendar_len -= 1;
-                if self.window.state[id as usize] == STATE_WAITING {
+                if self.window.is_waiting(id) {
                     self.issue_cand.push(id);
                 }
             }
@@ -855,7 +1016,7 @@ impl<'p> Simulator<'p> {
         // swap-remove on issue is mirrored below so relative order
         // evolves identically to a full scan.
         self.issue_cand
-            .sort_unstable_by_key(|&id| self.window.pos_in_waiting[id as usize]);
+            .sort_unstable_by_key(|&id| self.window.pos_in_waiting[self.window.slot(id)]);
         let mut issued = 0;
         let mut loads = 0;
         let mut stores = 0;
@@ -872,7 +1033,7 @@ impl<'p> Simulator<'p> {
                 break;
             }
             let id = self.issue_cand[ci];
-            let class = self.window.inst[id as usize].class();
+            let class = self.window.inst[self.window.slot(id)].class();
             match class {
                 InstClass::Load => {
                     if loads >= self.cfg.load_ports
@@ -901,12 +1062,14 @@ impl<'p> Simulator<'p> {
             // scan does not advance past the hole — is examined next if
             // it was itself a pending candidate (its old position, the
             // list tail, was necessarily after every pending candidate).
-            let p = self.window.pos_in_waiting[id as usize] as usize;
+            let s = self.window.slot(id);
+            let p = self.window.pos_in_waiting[s] as usize;
             self.waiting.swap_remove(p);
-            self.window.pos_in_waiting[id as usize] = u32::MAX;
+            self.window.pos_in_waiting[s] = u32::MAX;
             if p < self.waiting.len() {
                 let moved = self.waiting[p];
-                self.window.pos_in_waiting[moved as usize] = p as u32;
+                let ms = self.window.slot(moved);
+                self.window.pos_in_waiting[ms] = p as u32;
                 if let Some(j) = self.issue_cand[ci + 1..].iter().position(|&c| c == moved) {
                     self.issue_cand[ci + 1..=ci + 1 + j].rotate_right(1);
                 }
@@ -936,15 +1099,16 @@ impl<'p> Simulator<'p> {
     /// otherwise it registers on each unissued producer's waiter chain
     /// and the last producer to issue files it (see [`Simulator::wake`]).
     fn enqueue_waiting(&mut self, id: InstId) {
-        let i = id as usize;
+        let i = self.window.slot(id);
         self.window.pos_in_waiting[i] = self.waiting.len() as u32;
         self.waiting.push(id);
         let mut pending = 0u8;
         for k in 0..self.window.dep_cnt[i] as usize {
-            let d = self.window.deps[i][k] as usize;
-            if self.window.done_at[d] == u64::MAX {
-                self.window.waiter_next[i][k] = self.window.waiter_head[d];
-                self.window.waiter_head[d] = (i * MAX_DEPS + k) as u32;
+            let d = self.window.deps[i][k];
+            if self.window.producer_done(d) == u64::MAX {
+                let ds = self.window.slot(d);
+                self.window.waiter_next[i][k] = self.window.waiter_head[ds];
+                self.window.waiter_head[ds] = id * MAX_DEPS as u32 + k as u32;
                 pending += 1;
             }
         }
@@ -965,15 +1129,16 @@ impl<'p> Simulator<'p> {
     /// calendar. Ready cycles are at least `done_at > cycle`, so a wake
     /// can never add a candidate to the cycle being issued.
     fn wake(&mut self, id: InstId) {
-        let mut e = self.window.waiter_head[id as usize];
+        let mut e = self.window.waiter_head[self.window.slot(id)];
         while e != u32::MAX {
-            let c = (e as usize) / MAX_DEPS;
-            let k = (e as usize) % MAX_DEPS;
-            e = self.window.waiter_next[c][k];
-            self.window.pending[c] -= 1;
-            if self.window.pending[c] == 0 && self.window.state[c] == STATE_WAITING {
-                let at = self.ready_at(c as InstId);
-                self.bucket_insert(at, c as InstId);
+            let c = e / MAX_DEPS as u32;
+            let k = (e % MAX_DEPS as u32) as usize;
+            let cs = self.window.slot(c);
+            e = self.window.waiter_next[cs][k];
+            self.window.pending[cs] -= 1;
+            if self.window.pending[cs] == 0 && self.window.state[cs] == STATE_WAITING {
+                let at = self.ready_at(c);
+                self.bucket_insert(at, c);
             }
         }
     }
@@ -985,12 +1150,11 @@ impl<'p> Simulator<'p> {
     /// squash keeps its finite `done_at`, matching the reference.)
     #[inline]
     fn ready_at(&self, id: InstId) -> u64 {
-        let i = id as usize;
+        let i = self.window.slot(id);
         let mut r = self.window.dispatched_at[i] + 1;
         let n = self.window.dep_cnt[i] as usize;
         for k in 0..n {
-            let d = self.window.deps[i][k] as usize;
-            r = r.max(self.window.done_at[d]);
+            r = r.max(self.window.producer_done(self.window.deps[i][k]));
         }
         r
     }
@@ -998,7 +1162,7 @@ impl<'p> Simulator<'p> {
     fn do_issue(&mut self, id: InstId) {
         #[cfg(feature = "sanitize")]
         self.sanitize_issue(id);
-        let i = id as usize;
+        let i = self.window.slot(id);
         let thread = self.window.thread[i];
         let inst = self.window.inst[i];
         let addr = self.window.addr[i];
@@ -1179,6 +1343,7 @@ impl<'p> Simulator<'p> {
         } else {
             value
         };
+        self.make_room();
         let id = self
             .window
             .push(ci as u8, inst, false, deps, dep_cnt, self.cycle, addr, None);
@@ -1283,7 +1448,7 @@ impl<'p> Simulator<'p> {
 
     fn decode_one(&mut self, f: Fetched) {
         let inst = *self.program.inst(f.pc);
-        let id = self.window.len() as InstId;
+        let id = self.window.next;
         // Dependences from the latest in-flight producers.
         let mut deps = [0 as InstId; MAX_DEPS];
         let mut dep_cnt = 0u8;
@@ -1405,6 +1570,7 @@ impl<'p> Simulator<'p> {
             }
         }
         let is_alu = matches!(inst.class(), InstClass::IntAlu | InstClass::IntMul);
+        self.make_room();
         self.window.push(
             MAIN,
             inst,
@@ -1588,9 +1754,9 @@ impl Simulator<'_> {
                 "id {id} occupies a reservation station in state {:?}",
                 self.window.state_of(id)
             );
-            let n = self.window.dep_cnt[id as usize] as usize;
-            for k in 0..n {
-                let d = self.window.deps[id as usize][k];
+            let i = self.window.slot(id);
+            for k in 0..self.window.dep_cnt[i] as usize {
+                let d = self.window.deps[i][k];
                 sanity!(self, d < id, "id {id} depends on later id {d}");
             }
         }
@@ -1685,7 +1851,7 @@ impl Simulator<'_> {
     /// The ROB retires in order: ids commit strictly ascending, and only
     /// completed, correct-path instructions ever commit.
     fn sanitize_commit(&mut self, head: InstId) {
-        let i = head as usize;
+        let i = self.window.slot(head);
         sanity!(
             self,
             self.window.state_of(head) == State::Issued && self.window.done_at[i] <= self.cycle,
@@ -1706,9 +1872,10 @@ impl Simulator<'_> {
 
     /// Nothing issues before its operands are ready: every dependence has
     /// produced its value (or been squashed) by this cycle, and at least
-    /// one cycle has passed since dispatch.
+    /// one cycle has passed since dispatch. A dependence below the window
+    /// horizon was checked complete when the horizon passed it.
     fn sanitize_issue(&self, id: InstId) {
-        let i = id as usize;
+        let i = self.window.slot(id);
         sanity!(
             self,
             self.window.state_of(id) == State::Waiting,
@@ -1723,8 +1890,11 @@ impl Simulator<'_> {
         let n = self.window.dep_cnt[i] as usize;
         for k in 0..n {
             let d = self.window.deps[i][k];
+            if d < self.window.oldest {
+                continue;
+            }
             let ready = match self.window.state_of(d) {
-                State::Issued => self.window.done_at[d as usize] <= self.cycle,
+                State::Issued => self.window.done_at[self.window.slot(d)] <= self.cycle,
                 State::Squashed => true,
                 State::Waiting => false,
             };
@@ -1733,9 +1903,39 @@ impl Simulator<'_> {
                 ready,
                 "id {id} issued before operand producer {d} (state {:?}, done_at {}) was ready",
                 self.window.state_of(d),
-                self.window.done_at[d as usize]
+                self.window.done_at[self.window.slot(d)]
             );
         }
+    }
+
+    /// The window horizon passes only complete entries: nothing in the
+    /// ROB or a reservation station, and every result ready (or squashed)
+    /// by this cycle. Everything below the horizon is read as complete
+    /// from then on, and its slot is reused.
+    fn sanitize_horizon(&self, id: InstId) {
+        let i = self.window.slot(id);
+        sanity!(
+            self,
+            !self.rob.contains(&id),
+            "window horizon passed id {id}, still in the ROB"
+        );
+        sanity!(
+            self,
+            !self.waiting.contains(&id),
+            "window horizon passed id {id}, still waiting to issue"
+        );
+        let complete = match self.window.state_of(id) {
+            State::Issued => self.window.done_at[i] <= self.cycle,
+            State::Squashed => true,
+            State::Waiting => false,
+        };
+        sanity!(
+            self,
+            complete,
+            "window horizon passed id {id} in state {:?} (done_at {})",
+            self.window.state_of(id),
+            self.window.done_at[i]
+        );
     }
 }
 
