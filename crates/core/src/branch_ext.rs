@@ -24,46 +24,51 @@
 //! hint.
 
 use crate::select::{debug_verify_pthreads, select_raw};
-use crate::{PThread, Selection, SelectionTarget, SelectorInputs};
+use crate::{CandidateTable, MachineParams, PThread, Selection, SelectionTarget, SelectorInputs};
 use preexec_critpath::{LoadCost, ProblemBranch};
 use preexec_isa::Pc;
+use preexec_slicer::SliceTree;
+use preexec_trace::Profile;
 
 /// Mispredict-recovery cycles one covered misprediction saves (the
 /// pipeline refill depth). Matches the simulator's front end.
 pub const DEFAULT_MISPREDICT_PENALTY: f64 = 12.0;
 
-/// Runs PTHSEL+E over branch slice trees.
-///
-/// `inputs.trees` must hold one tree per entry of `branches` (same order),
-/// built from the branch's mispredicted instances; `inputs.costs` is
-/// ignored and replaced by penalty-saturated identity cost functions.
-/// `penalty` is the per-covered-misprediction latency gain cap.
-pub fn select_branch_pthreads(
-    inputs: &SelectorInputs<'_>,
-    branches: &[ProblemBranch],
-    target: SelectionTarget,
-    penalty: f64,
-) -> Selection {
-    assert_eq!(
-        inputs.trees.len(),
-        branches.len(),
-        "one slice tree per problem branch"
-    );
-    // Per-branch cost function: one tolerated cycle is one gained cycle,
-    // saturating at the refill penalty.
-    let costs: Vec<LoadCost> = branches
-        .iter()
-        .map(|pb| LoadCost::identity(pb.pc, pb.stats.mispredicts, penalty))
-        .collect();
+impl CandidateTable {
+    /// The table of branch slice trees: `trees` must hold one tree per
+    /// entry of `branches` (same order), built from the branch's
+    /// mispredicted instances. Each branch's cost function is the
+    /// identity saturating at `penalty`, the per-covered-misprediction
+    /// latency gain cap.
+    pub fn for_branches(
+        trees: &[SliceTree],
+        profile: &Profile,
+        branches: &[ProblemBranch],
+        machine: MachineParams,
+        bw_seq_mt: f64,
+        penalty: f64,
+    ) -> CandidateTable {
+        assert_eq!(
+            trees.len(),
+            branches.len(),
+            "one slice tree per problem branch"
+        );
+        let costs: Vec<LoadCost> = branches
+            .iter()
+            .map(|pb| LoadCost::identity(pb.pc, pb.stats.mispredicts, penalty))
+            .collect();
+        CandidateTable::build(trees, profile, &costs, machine, bw_seq_mt)
+    }
+}
+
+/// Runs PTHSEL+E over branch slice trees; `inputs.table` must come from
+/// [`CandidateTable::for_branches`].
+pub fn select_branch_pthreads(inputs: &SelectorInputs<'_>, target: SelectionTarget) -> Selection {
     // Energy is saved at the busy rate while mispredicted work is avoided.
     let energy = inputs
         .energy
         .with_idle_factor(inputs.energy.e_total_per_cycle);
-    let branch_inputs = SelectorInputs {
-        costs: &costs,
-        energy,
-        ..*inputs
-    };
+    let branch_inputs = SelectorInputs { energy, ..*inputs };
     // `select_raw`, not `select`: until finalization below the bodies
     // still carry the sliced branch roots, which the static verifier
     // would (rightly) reject as control instructions.
@@ -87,13 +92,13 @@ fn finalize_branch_pthread(p: &mut PThread) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AppParams, EnergyParams, MachineParams};
+    use crate::{AppParams, EnergyParams};
     use preexec_bpred::PredictorConfig;
     use preexec_critpath::problem_branches;
     use preexec_isa::{ProgramBuilder, Reg};
     use preexec_mem::HierarchyConfig;
-    use preexec_slicer::{SliceConfig, SliceTree};
-    use preexec_trace::{FuncSim, MemAnnotation, Profile};
+    use preexec_slicer::SliceConfig;
+    use preexec_trace::{FuncSim, MemAnnotation};
 
     fn r(i: u8) -> Reg {
         Reg::new(i)
@@ -149,24 +154,28 @@ mod tests {
                 )
             })
             .collect();
+        let app = AppParams {
+            l0: 40_000.0,
+            e0: 14_000.0,
+            bw_seq_mt: 2.0,
+        };
+        let table = CandidateTable::for_branches(
+            &trees,
+            &profile,
+            &branches,
+            MachineParams::default(),
+            app.bw_seq_mt,
+            DEFAULT_MISPREDICT_PENALTY,
+        );
         let inputs = SelectorInputs {
             program: &program,
-            profile: &profile,
             trees: &trees,
-            costs: &[],
-            machine: MachineParams::default(),
+            table: &table,
             energy: EnergyParams::default(),
-            app: AppParams {
-                l0: 40_000.0,
-                e0: 14_000.0,
-                bw_seq_mt: 2.0,
-            },
+            app,
         };
         let total_misp = branches[0].stats.mispredicts;
-        (
-            select_branch_pthreads(&inputs, &branches, target, DEFAULT_MISPREDICT_PENALTY),
-            total_misp,
-        )
+        (select_branch_pthreads(&inputs, target), total_misp)
     }
 
     #[test]

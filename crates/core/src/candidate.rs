@@ -2,32 +2,32 @@
 //! PTHSEL equations consume.
 
 use crate::MachineParams;
-use preexec_isa::{Inst, Pc, Program};
-use preexec_slicer::{alu_count, collapse_inductions, load_count, SliceTree};
+use preexec_isa::{Inst, Pc};
+use preexec_slicer::{alu_count, collapse_inductions, load_count, NodeId, SliceTree};
 use preexec_trace::Profile;
 
 /// A linear p-thread candidate: one slice-tree node plus the derived
-/// quantities (optimized body, counts, per-instance tolerance) that the
-/// Table 1/Table 2 equations operate on.
+/// quantities (optimized-body counts, per-instance tolerance) that the
+/// Table 1/Table 2 equations operate on. The body itself is not kept:
+/// [`Candidate::body`] rebuilds it from the tree, so a table of every
+/// candidate stays small.
 #[derive(Clone, Debug)]
 pub struct Candidate {
     /// Which slice tree (problem load) this candidate came from.
     pub tree_idx: usize,
     /// Node id within that tree.
-    pub node: preexec_slicer::NodeId,
+    pub node: NodeId,
     /// The targeted problem load.
     pub root_pc: Pc,
     /// Trigger instruction PC: the p-thread spawns when the main thread
     /// decodes this instruction.
     pub trigger_pc: Pc,
-    /// Optimized body (inductions collapsed), forward order, ending with
-    /// the target load.
-    pub body: Vec<Inst>,
-    /// Static PCs of the un-collapsed slice path, forward order (trigger
-    /// first, target load last). Used for subsumption checks during
-    /// merging: a candidate whose target appears in another selected
-    /// candidate's path is already prefetched by it.
-    pub body_pcs: Vec<Pc>,
+    /// `SIZE(p)`: instructions in the optimized body.
+    pub size: usize,
+    /// `ALU(p)`: non-load instructions in the optimized body.
+    pub alu: usize,
+    /// `LOAD(p)`: loads in the optimized body, target included.
+    pub loads: usize,
     /// Dynamic spawns per run (`DCtrig`).
     pub dc_trig: u64,
     /// Covered misses per run (`DCpt-cm`).
@@ -45,19 +45,19 @@ pub struct Candidate {
 }
 
 impl Candidate {
-    /// `SIZE(p)`: instructions in the optimized body.
-    pub fn size(&self) -> usize {
-        self.body.len()
+    /// Optimized body (inductions collapsed), forward order, ending with
+    /// the target load. `tree` must be the tree the candidate came from.
+    pub fn body(&self, tree: &SliceTree) -> Vec<Inst> {
+        collapse_inductions(&tree.body(self.node))
     }
 
-    /// `ALU(p)`: non-load body instructions.
-    pub fn alu(&self) -> usize {
-        alu_count(&self.body)
-    }
-
-    /// `LOAD(p)`: body loads, target included.
-    pub fn loads(&self) -> usize {
-        load_count(&self.body)
+    /// Static PCs of the un-collapsed slice path, forward order (trigger
+    /// first, target load last). Used for subsumption checks during
+    /// merging: a candidate whose target appears in another selected
+    /// candidate's path is already prefetched by it. `tree` must be the
+    /// tree the candidate came from.
+    pub(crate) fn body_pcs(&self, tree: &SliceTree) -> Vec<Pc> {
+        path_pcs(tree, self.node)
     }
 }
 
@@ -74,14 +74,12 @@ impl Candidate {
 ///   from the profile's per-PC miss rates). A p-thread that must chase
 ///   missing loads (mcf) has an enormous lead and tolerates little.
 pub fn candidates_from_tree(
-    program: &Program,
     tree: &SliceTree,
     tree_idx: usize,
     profile: &Profile,
     machine: &MachineParams,
     bw_seq_mt: f64,
 ) -> Vec<Candidate> {
-    let _ = program;
     let mut out = Vec::with_capacity(tree.len().saturating_sub(1));
     for node in tree.iter_preorder() {
         if node.parent.is_none() {
@@ -93,31 +91,17 @@ pub fn candidates_from_tree(
         // excluding the final (target) load itself.
         let mut lead = 0.0;
         let mut l1_miss_weight = 0.0;
-        let mut cur = Some(node.id);
-        // Walk trigger→root collecting per-PC stats for loads.
-        let mut pcs = Vec::new();
-        while let Some(c) = cur {
-            pcs.push(tree.node(c).pc);
-            cur = tree.node(c).parent;
-        }
-        for (k, &pc) in pcs.iter().enumerate() {
-            let inst = if k == 0 {
-                // pcs[0] is the trigger (walk started at the node); but we
-                // pushed trigger-first order: pcs = [trigger..root]? No:
-                // `cur` starts at node (trigger) and walks to root, so
-                // pcs = [trigger, ..., root]. The target load is last.
-                tree.node(node.id).inst
-            } else {
-                // Re-derive from the tree path for accuracy.
-                raw_body[k]
-            };
+        // `pcs` runs parallel to `raw_body`: trigger first, target load last.
+        let pcs = path_pcs(tree, node.id);
+        let last = pcs.len() - 1;
+        for (k, (&pc, inst)) in pcs.iter().zip(&raw_body).enumerate() {
             let st = profile.pc_stats(pc);
             if inst.is_load() {
                 l1_miss_weight += st.l1_miss_rate();
-                if pc != tree.root_pc || k + 1 != pcs.len() {
+                if pc != tree.root_pc || k != last {
                     lead += machine.expected_load_latency(st.l1_miss_rate(), st.l2_miss_rate());
                 }
-            } else if k + 1 != pcs.len() {
+            } else if k != last {
                 lead += 1.0;
             }
         }
@@ -132,8 +116,9 @@ pub fn candidates_from_tree(
             node: node.id,
             root_pc: tree.root_pc,
             trigger_pc: node.pc,
-            body,
-            body_pcs: pcs,
+            size: body.len(),
+            alu: alu_count(&body),
+            loads: load_count(&body),
             dc_trig: node.dc_trig,
             dc_ptcm: node.dc_ptcm,
             lookahead: node.lookahead(),
@@ -145,6 +130,17 @@ pub fn candidates_from_tree(
     out
 }
 
+/// Static PCs from node `id` (trigger) up to the root (target load).
+fn path_pcs(tree: &SliceTree, id: NodeId) -> Vec<Pc> {
+    let mut pcs = Vec::new();
+    let mut cur = Some(id);
+    while let Some(c) = cur {
+        pcs.push(tree.node(c).pc);
+        cur = tree.node(c).parent;
+    }
+    pcs
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,26 +149,32 @@ mod tests {
     use preexec_trace::{FuncSim, MemAnnotation, Profile};
     use preexec_workloads::{build, InputSet};
 
-    fn cands_for(name: &str) -> Vec<Candidate> {
+    fn cands_for(name: &str) -> (SliceTree, Vec<Candidate>) {
         let p = build(name, InputSet::Train).unwrap();
         let t = FuncSim::new(&p).run_trace(150_000);
         let ann = MemAnnotation::compute(&t, HierarchyConfig::default());
         let prof = Profile::compute(&p, &t, &ann);
         let probs = prof.problem_loads(&p, 100);
         let tree = SliceTree::build(&p, &t, &ann, &prof, probs[0].pc, &SliceConfig::default());
-        candidates_from_tree(&p, &tree, 0, &prof, &MachineParams::default(), 1.0)
+        let cands = candidates_from_tree(&tree, 0, &prof, &MachineParams::default(), 1.0);
+        (tree, cands)
     }
 
     #[test]
     fn candidates_have_consistent_counts() {
-        let cands = cands_for("gap");
+        let (tree, cands) = cands_for("gap");
         assert!(!cands.is_empty());
         for c in &cands {
-            assert_eq!(c.alu() + c.loads(), c.size());
+            let body = c.body(&tree);
+            assert_eq!(c.size, body.len());
+            assert_eq!(c.alu + c.loads, c.size);
+            assert_eq!(c.loads, load_count(&body));
             assert!(c.dc_ptcm <= c.dc_trig + c.dc_ptcm); // sanity
             assert!(c.tolerance >= 0.0);
             assert!(c.tolerance <= MachineParams::default().mem_latency);
-            assert!(c.body.last().unwrap().is_load());
+            assert!(body.last().unwrap().is_load());
+            let pcs = c.body_pcs(&tree);
+            assert_eq!((pcs[0], pcs[pcs.len() - 1]), (c.trigger_pc, c.root_pc));
         }
     }
 
@@ -180,7 +182,7 @@ mod tests {
     fn deeper_triggers_tolerate_more_in_gap() {
         // gap's slices are pure arithmetic: lead time is tiny, so
         // tolerance grows with lookahead until saturating at Lcm.
-        let cands = cands_for("gap");
+        let (_, cands) = cands_for("gap");
         let shallow = cands
             .iter()
             .filter(|c| c.lookahead < 12.0 && c.dc_ptcm > 50)
@@ -211,10 +213,10 @@ mod tests {
             .map(|(pc, _)| pc as Pc)
             .unwrap();
         let tree = SliceTree::build(&p, &t, &ann, &prof, arcs_pc, &SliceConfig::default());
-        let cands = candidates_from_tree(&p, &tree, 0, &prof, &MachineParams::default(), 0.3);
+        let cands = candidates_from_tree(&tree, 0, &prof, &MachineParams::default(), 0.3);
         // Any candidate embedding the (missing) perm load pays its
         // expected memory latency in lead time.
-        let with_embedded: Vec<_> = cands.iter().filter(|c| c.loads() >= 2).collect();
+        let with_embedded: Vec<_> = cands.iter().filter(|c| c.loads >= 2).collect();
         assert!(!with_embedded.is_empty());
         for c in with_embedded {
             assert!(
@@ -227,15 +229,15 @@ mod tests {
 
     #[test]
     fn induction_collapse_shrinks_bodies() {
-        let cands = cands_for("bzip2");
+        let (tree, cands) = cands_for("bzip2");
         // Deep bzip2 candidates unroll i++ several times; optimized bodies
         // must be shorter than depth+1 for at least one of them.
-        let any_shrunk = cands.iter().any(|c| (c.size() as u32) < c.node as u32 + 1);
+        let any_shrunk = cands.iter().any(|c| (c.size as u32) < c.node as u32 + 1);
         // Node id isn't depth; recompute via lookahead instead: just check
         // no body exceeds the slicing cap and some body has a multi-step
         // induction (immediate > 1).
         let any_big_step = cands.iter().any(|c| {
-            c.body.iter().any(|i| {
+            c.body(&tree).iter().any(|i| {
                 matches!(i, Inst::AluImm { op: preexec_isa::AluOp::Add, dst, src1, imm }
                          if dst == src1 && *imm > 1)
             })

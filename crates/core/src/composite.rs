@@ -12,6 +12,8 @@ use crate::AppParams;
 pub struct CompositeModel {
     app: AppParams,
     w: f64,
+    /// `L0^W · E0^(1−W)`, fixed by `app` and `w`.
+    baseline: f64,
 }
 
 impl CompositeModel {
@@ -25,7 +27,8 @@ impl CompositeModel {
     pub fn new(app: AppParams, w: f64) -> CompositeModel {
         assert!((0.0..=1.0).contains(&w), "weight must be in [0,1]");
         assert!(app.l0 > 0.0 && app.e0 > 0.0, "baselines must be positive");
-        CompositeModel { app, w }
+        let baseline = app.l0.powf(w) * app.e0.powf(1.0 - w);
+        CompositeModel { app, w, baseline }
     }
 
     /// The composition weight.
@@ -35,7 +38,7 @@ impl CompositeModel {
 
     /// The unoptimized composite value `L0^W · E0^(1−W)`.
     pub fn baseline(&self) -> f64 {
-        self.app.l0.powf(self.w) * self.app.e0.powf(1.0 - self.w)
+        self.baseline
     }
 
     /// Equation C1/C3: the aggregate composite advantage of a p-thread (or
@@ -44,7 +47,7 @@ impl CompositeModel {
     pub fn cadv_agg(&self, ladv_agg: f64, eadv_agg: f64) -> f64 {
         let l = (self.app.l0 - ladv_agg).max(f64::MIN_POSITIVE);
         let e = (self.app.e0 - eadv_agg).max(f64::MIN_POSITIVE);
-        self.baseline() - l.powf(self.w) * e.powf(1.0 - self.w)
+        self.baseline - l.powf(self.w) * e.powf(1.0 - self.w)
     }
 }
 

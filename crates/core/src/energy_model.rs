@@ -29,7 +29,7 @@ impl EnergyModel {
     /// sequenced in processor-width blocks, so one instance costs
     /// `ceil(SIZE/BWSEQproc)` instruction-cache accesses.
     pub fn e_fetch(&self, c: &Candidate) -> f64 {
-        (c.size() as f64 / self.machine.bw_seq_proc).ceil() * self.energy.e_fetch_per_access
+        (c.size as f64 / self.machine.bw_seq_proc).ceil() * self.energy.e_fetch_per_access
     }
 
     /// Equation E6: execution energy per dynamic instance — every
@@ -37,9 +37,9 @@ impl EnergyModel {
     /// energy; ALU instructions add ALU energy; loads add AGEN +
     /// D-cache/TLB/LSQ energy.
     pub fn e_exec(&self, c: &Candidate) -> f64 {
-        c.size() as f64 * self.energy.e_xall_per_access
-            + c.alu() as f64 * self.energy.e_xalu_per_access
-            + c.loads() as f64 * self.energy.e_xload_per_access
+        c.size as f64 * self.energy.e_xall_per_access
+            + c.alu as f64 * self.energy.e_xalu_per_access
+            + c.loads as f64 * self.energy.e_xload_per_access
     }
 
     /// Equation E7: L2 energy per dynamic instance — each body load
@@ -81,31 +81,16 @@ impl EnergyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use preexec_isa::{AluOp, Inst, Reg};
 
     fn cand(alu: usize, loads: usize, dc_trig: u64, l1_miss_weight: f64) -> Candidate {
-        let mut body: Vec<Inst> = (0..alu)
-            .map(|_| Inst::AluImm {
-                op: AluOp::Add,
-                dst: Reg::new(1),
-                src1: Reg::new(2),
-                imm: 1,
-            })
-            .collect();
-        for _ in 0..loads {
-            body.push(Inst::Load {
-                dst: Reg::new(3),
-                base: Reg::new(1),
-                offset: 0,
-            });
-        }
         Candidate {
             tree_idx: 0,
             node: 1,
             root_pc: 7,
             trigger_pc: 3,
-            body,
-            body_pcs: vec![3, 7],
+            size: alu + loads,
+            alu,
+            loads,
             dc_trig,
             dc_ptcm: 10,
             lookahead: 0.0,

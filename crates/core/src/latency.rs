@@ -57,7 +57,7 @@ impl<'a> LatencyModel<'a> {
     /// The p-thread consumes `SIZE/BWSEQproc` fetch cycles, discounted by
     /// how much of the machine's bandwidth the main thread actually uses.
     pub fn loh(&self, c: &Candidate) -> f64 {
-        (c.size() as f64 / self.machine.bw_seq_proc) * (self.bw_seq_mt / self.machine.bw_seq_proc)
+        (c.size as f64 / self.machine.bw_seq_proc) * (self.bw_seq_mt / self.machine.bw_seq_proc)
     }
 
     /// Per-covered-miss latency gain (`LRED`), after the miss-cost
@@ -99,29 +99,17 @@ impl<'a> LatencyModel<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use preexec_isa::{AluOp, Inst, Reg};
 
+    /// `size_alu` ALU instructions followed by the target load.
     fn cand(size_alu: usize, dc_trig: u64, dc_ptcm: u64, tolerance: f64) -> Candidate {
-        let mut body: Vec<Inst> = (0..size_alu)
-            .map(|_| Inst::AluImm {
-                op: AluOp::Add,
-                dst: Reg::new(1),
-                src1: Reg::new(2),
-                imm: 1,
-            })
-            .collect();
-        body.push(Inst::Load {
-            dst: Reg::new(3),
-            base: Reg::new(1),
-            offset: 0,
-        });
         Candidate {
             tree_idx: 0,
             node: 1,
             root_pc: 7,
             trigger_pc: 3,
-            body,
-            body_pcs: vec![3, 7],
+            size: size_alu + 1,
+            alu: size_alu,
+            loads: 1,
             dc_trig,
             dc_ptcm,
             lookahead: 0.0,

@@ -14,7 +14,10 @@
 //! * the selection search with overlap discounting and common-trigger
 //!   merging ([`select`]), retargetable via [`SelectionTarget`] to latency
 //!   (L-p-threads), energy (E-p-threads), ED (P-p-threads), ED²
-//!   (P²-p-threads), or classic PTHSEL (O-p-threads).
+//!   (P²-p-threads), or classic PTHSEL (O-p-threads);
+//! * the [`CandidateTable`] the search reads: every candidate with its
+//!   latency terms, built once per program, so retargeting a selection
+//!   costs only the energy and composite equations.
 //!
 //! # Examples
 //!
@@ -37,6 +40,7 @@ mod energy_model;
 mod latency;
 mod params;
 mod select;
+mod table;
 
 pub use branch_ext::{select_branch_pthreads, DEFAULT_MISPREDICT_PENALTY};
 pub use candidate::{candidates_from_tree, Candidate};
@@ -45,3 +49,4 @@ pub use energy_model::EnergyModel;
 pub use latency::{LatencyModel, MissCostModel};
 pub use params::{AppParams, EnergyParams, MachineParams};
 pub use select::{select, PThread, Selection, SelectionTarget, SelectorInputs};
+pub use table::CandidateTable;

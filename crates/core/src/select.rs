@@ -2,14 +2,12 @@
 //! discounting (equation L7), de-selection, and the common-trigger merge
 //! post-pass.
 
+use crate::table::Row;
 use crate::{
-    candidates_from_tree, AppParams, Candidate, CompositeModel, EnergyModel, EnergyParams,
-    LatencyModel, MachineParams, MissCostModel,
+    AppParams, Candidate, CandidateTable, CompositeModel, EnergyModel, EnergyParams, MissCostModel,
 };
-use preexec_critpath::LoadCost;
 use preexec_isa::{Inst, Pc, Program};
 use preexec_slicer::{merge_bodies, SliceTree};
-use preexec_trace::Profile;
 
 /// What the selection optimizes, mapping to the paper's p-thread flavours.
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
@@ -137,18 +135,15 @@ impl Selection {
 pub struct SelectorInputs<'a> {
     /// The analyzed program.
     pub program: &'a Program,
-    /// Its per-PC profile (execution counts, miss rates).
-    pub profile: &'a Profile,
     /// Slice trees, one per problem load.
     pub trees: &'a [SliceTree],
-    /// Criticality-based cost functions, one per problem load (ignored by
-    /// [`SelectionTarget::Classic`]).
-    pub costs: &'a [LoadCost],
-    /// Machine latency parameters.
-    pub machine: MachineParams,
+    /// The candidates of `trees`, scored for the machine
+    /// ([`CandidateTable::build`]).
+    pub table: &'a CandidateTable,
     /// Machine energy parameters.
     pub energy: EnergyParams,
-    /// Application parameters (`L0`, `E0`, `BWSEQmt`).
+    /// Application parameters (`L0`, `E0`; `BWSEQmt` is already folded
+    /// into `table`).
     pub app: AppParams,
 }
 
@@ -194,34 +189,33 @@ pub(crate) fn debug_verify_pthreads(program: &Program, pthreads: &[PThread]) {
 /// branch extension, whose raw selections still carry the sliced branch
 /// roots in their bodies until `finalize_branch_pthread` strips them.
 pub(crate) fn select_raw(inputs: &SelectorInputs<'_>, target: SelectionTarget) -> Selection {
-    let lat = LatencyModel::new(
-        inputs.machine,
-        inputs.app.bw_seq_mt,
-        target.miss_cost_model(),
-        inputs.costs,
+    let table = inputs.table;
+    debug_assert_eq!(
+        table.tree_count(),
+        inputs.trees.len(),
+        "table built from trees"
     );
-    let emodel = EnergyModel::new(inputs.machine, inputs.energy);
+    let emodel = EnergyModel::new(table.machine(), inputs.energy);
     let comp = CompositeModel::new(inputs.app, target.weight());
-
-    let mut chosen: Vec<(Candidate, f64, f64)> = Vec::new(); // (cand, ladv, eadv)
+    let mut chosen: Vec<Pick<'_>> = Vec::new();
     for (ti, tree) in inputs.trees.iter().enumerate() {
-        let cands = candidates_from_tree(
-            inputs.program,
-            tree,
-            ti,
-            inputs.profile,
-            &inputs.machine,
-            inputs.app.bw_seq_mt,
-        );
-        chosen.extend(select_in_tree(&cands, tree, target, &lat, &emodel, &comp));
+        let picks = select_in_tree(table.tree_rows(ti), tree, target, &emodel, &comp);
+        // Bodies exist only for the picks.
+        chosen.extend(picks.into_iter().map(|(cand, ladv, eadv)| Pick {
+            cand,
+            body: cand.body(tree),
+            body_pcs: cand.body_pcs(tree),
+            ladv,
+            eadv,
+        }));
     }
     // Merge common triggers.
-    chosen.sort_by_key(|(c, _, _)| c.trigger_pc);
+    chosen.sort_by_key(|p| p.cand.trigger_pc);
     let mut pthreads: Vec<PThread> = Vec::new();
     let mut i = 0;
     while i < chosen.len() {
         let mut j = i + 1;
-        while j < chosen.len() && chosen[j].0.trigger_pc == chosen[i].0.trigger_pc {
+        while j < chosen.len() && chosen[j].cand.trigger_pc == chosen[i].cand.trigger_pc {
             j += 1;
         }
         pthreads.extend(merge_trigger_group(&chosen[i..j]));
@@ -237,6 +231,16 @@ pub(crate) fn select_raw(inputs: &SelectorInputs<'_>, target: SelectionTarget) -
     }
 }
 
+/// A selected candidate: its body, materialized from its tree, and its
+/// discounted advantages.
+struct Pick<'a> {
+    cand: &'a Candidate,
+    body: Vec<Inst>,
+    body_pcs: Vec<Pc>,
+    ladv: f64,
+    eadv: f64,
+}
+
 /// Merges the selections sharing one trigger PC into composite p-threads.
 ///
 /// Two refinements over naive concatenation keep merged bodies sound:
@@ -250,15 +254,15 @@ pub(crate) fn select_raw(inputs: &SelectorInputs<'_>, target: SelectionTarget) -
 ///   Figure 1e shape). Bodies with unrelated computations stay separate
 ///   p-threads on the same trigger; concatenating them would corrupt the
 ///   shared registers (e.g. apply two different induction advances).
-fn merge_trigger_group(group: &[(Candidate, f64, f64)]) -> Vec<PThread> {
+fn merge_trigger_group(group: &[Pick<'_>]) -> Vec<PThread> {
     // Subsumption, biggest bodies first so the keeper set is stable.
     let mut order: Vec<usize> = (0..group.len()).collect();
-    order.sort_by_key(|&k| std::cmp::Reverse(group[k].0.body_pcs.len()));
+    order.sort_by_key(|&k| std::cmp::Reverse(group[k].body_pcs.len()));
     let mut kept: Vec<usize> = Vec::new();
     for &k in &order {
-        let root = group[k].0.root_pc;
+        let root = group[k].cand.root_pc;
         let subsumed = kept.iter().any(|&a| {
-            let pcs = &group[a].0.body_pcs;
+            let pcs = &group[a].body_pcs;
             pcs[..pcs.len().saturating_sub(1)].contains(&root)
         });
         if !subsumed {
@@ -268,10 +272,10 @@ fn merge_trigger_group(group: &[(Candidate, f64, f64)]) -> Vec<PThread> {
     // Partition by leading instruction; merge within each partition.
     let mut partitions: Vec<Vec<usize>> = Vec::new();
     for &k in &kept {
-        let first = group[k].0.body.first().copied();
+        let first = group[k].body.first().copied();
         match partitions
             .iter_mut()
-            .find(|p| group[p[0]].0.body.first().copied() == first)
+            .find(|p| group[p[0]].body.first().copied() == first)
         {
             Some(p) => p.push(k),
             None => partitions.push(vec![k]),
@@ -280,24 +284,31 @@ fn merge_trigger_group(group: &[(Candidate, f64, f64)]) -> Vec<PThread> {
     partitions
         .into_iter()
         .map(|part| {
-            let bodies: Vec<Vec<Inst>> = part.iter().map(|&k| group[k].0.body.clone()).collect();
-            let mut targets: Vec<Pc> = part.iter().map(|&k| group[k].0.root_pc).collect();
+            let bodies: Vec<Vec<Inst>> = part.iter().map(|&k| group[k].body.clone()).collect();
+            let mut targets: Vec<Pc> = part.iter().map(|&k| group[k].cand.root_pc).collect();
             targets.sort_unstable();
             targets.dedup();
             PThread {
-                trigger_pc: group[part[0]].0.trigger_pc,
+                trigger_pc: group[part[0]].cand.trigger_pc,
                 body: merge_bodies(&bodies),
                 targets,
-                dc_trig: part.iter().map(|&k| group[k].0.dc_trig).max().unwrap_or(0),
-                dc_ptcm: part.iter().map(|&k| group[k].0.dc_ptcm).sum(),
-                ladv_agg: part.iter().map(|&k| group[k].1).sum(),
-                eadv_agg: part.iter().map(|&k| group[k].2).sum(),
+                dc_trig: part
+                    .iter()
+                    .map(|&k| group[k].cand.dc_trig)
+                    .max()
+                    .unwrap_or(0),
+                dc_ptcm: part.iter().map(|&k| group[k].cand.dc_ptcm).sum(),
+                ladv_agg: part.iter().map(|&k| group[k].ladv).sum(),
+                eadv_agg: part.iter().map(|&k| group[k].eadv).sum(),
                 branch_hint: None,
                 hint_lookahead: part
                     .iter()
                     .map(|&k| {
-                        let c = &group[k].0;
-                        c.body_pcs.iter().filter(|&&pc| pc == c.trigger_pc).count() as u64
+                        let g = &group[k];
+                        g.body_pcs
+                            .iter()
+                            .filter(|&&pc| pc == g.cand.trigger_pc)
+                            .count() as u64
                     })
                     .max()
                     .unwrap_or(0),
@@ -306,15 +317,16 @@ fn merge_trigger_group(group: &[(Candidate, f64, f64)]) -> Vec<PThread> {
         .collect()
 }
 
-/// Selects within one tree with L7 overlap discounting.
-fn select_in_tree(
-    cands: &[Candidate],
+/// Selects within one tree with L7 overlap discounting. Returns the
+/// picks in selection order with their discounted `(LADVagg, EADVagg)`.
+fn select_in_tree<'t>(
+    rows: &'t [Row],
     tree: &SliceTree,
     target: SelectionTarget,
-    lat: &LatencyModel<'_>,
     emodel: &EnergyModel,
     comp: &CompositeModel,
-) -> Vec<(Candidate, f64, f64)> {
+) -> Vec<(&'t Candidate, f64, f64)> {
+    let model = target.miss_cost_model();
     // Advantage of a candidate under the target metric.
     let advantage = |ladv: f64, eadv: f64| -> f64 {
         match target {
@@ -329,18 +341,17 @@ fn select_in_tree(
     // profile, e.g. slices of the first few dynamic instances that reach
     // program-initialization code).
     let min_cov = (tree.total_misses() / 100).max(8);
-    let mut pool: Vec<usize> = Vec::new();
-    let mut ladvs = vec![0.0; cands.len()];
-    let mut eadvs = vec![0.0; cands.len()];
-    for (k, c) in cands.iter().enumerate() {
-        let l = lat.ladv_agg(c);
-        let e = emodel.eadv_agg(c, l);
-        ladvs[k] = l;
-        eadvs[k] = e;
-        if c.dc_ptcm >= min_cov && advantage(l, e) > 0.0 {
-            pool.push(k);
-        }
-    }
+    let mut ladvs: Vec<f64> = rows.iter().map(|r| r.ladv_agg(model)).collect();
+    let mut eadvs: Vec<f64> = rows
+        .iter()
+        .zip(&ladvs)
+        .map(|(r, &l)| emodel.eadv_agg(&r.cand, l))
+        .collect();
+    let scored: Vec<(usize, f64)> = (0..rows.len())
+        .filter(|&k| rows[k].cand.dc_ptcm >= min_cov)
+        .map(|k| (k, advantage(ladvs[k], eadvs[k])))
+        .filter(|&(_, adv)| adv > 0.0)
+        .collect();
     // Greedy from best advantage down, with L7 discounting applied to
     // already-selected ancestors; ancestors whose discounted advantage
     // turns negative are de-selected.
@@ -348,43 +359,42 @@ fn select_in_tree(
     // prefer the larger tolerance (coverage arrives earlier — the gain
     // function saturates, so the model sees the extra hoisting as free)
     // and then the smaller body.
-    let max_adv = pool
+    let max_adv = scored
         .iter()
-        .map(|&k| advantage(ladvs[k], eadvs[k]))
+        .map(|&(_, adv)| adv)
         .fold(0.0_f64, f64::max)
         .max(1e-12);
-    let bucket = |k: usize| (advantage(ladvs[k], eadvs[k]) / (0.02 * max_adv)).round() as i64;
-    pool.sort_by(|&a, &b| {
-        bucket(b)
-            .cmp(&bucket(a))
-            .then(
-                cands[b]
-                    .tolerance
-                    .partial_cmp(&cands[a].tolerance)
-                    .expect("finite"),
-            )
-            .then(cands[a].body.len().cmp(&cands[b].body.len()))
-            .then(cands[a].node.cmp(&cands[b].node))
+    let mut pool: Vec<(i64, usize)> = scored
+        .into_iter()
+        .map(|(k, adv)| ((adv / (0.02 * max_adv)).round() as i64, k))
+        .collect();
+    pool.sort_by(|&(bucket_a, a), &(bucket_b, b)| {
+        let (ca, cb) = (&rows[a].cand, &rows[b].cand);
+        bucket_b
+            .cmp(&bucket_a)
+            .then(cb.tolerance.partial_cmp(&ca.tolerance).expect("finite"))
+            .then(ca.size.cmp(&cb.size))
+            .then(ca.node.cmp(&cb.node))
     });
     let mut selected: Vec<usize> = Vec::new();
-    for &k in &pool {
-        let c = &cands[k];
+    for &(_, k) in &pool {
+        let c = &rows[k];
         // Skip if an already-selected candidate relates to this one as
         // ancestor/descendant *and* the discounted advantage would not be
         // positive.
         let mut disc_l = ladvs[k];
         for &s in &selected {
-            let sc = &cands[s];
-            if is_ancestor(tree, c.node, sc.node) {
+            let sc = &rows[s];
+            if c.is_ancestor_of(sc) {
                 // c is an ancestor of a selected deeper candidate: c's
-                // shared misses are the descendant's coverage.
-                disc_l -= lat.overlap_discount(c, sc.dc_ptcm);
-            } else if is_ancestor(tree, sc.node, c.node) {
+                // shared misses are the descendant's coverage (L7).
+                disc_l -= c.lred(model) * sc.cand.dc_ptcm as f64;
+            } else if sc.is_ancestor_of(c) {
                 // c is a descendant: the overlap is c's own coverage.
-                disc_l -= lat.overlap_discount(c, c.dc_ptcm);
+                disc_l -= c.lred(model) * c.cand.dc_ptcm as f64;
             }
         }
-        let disc_e = emodel.eadv_agg(c, disc_l);
+        let disc_e = emodel.eadv_agg(&c.cand, disc_l);
         if advantage(disc_l, disc_e) <= 0.0 {
             continue;
         }
@@ -395,10 +405,10 @@ fn select_in_tree(
             if s == k {
                 return true;
             }
-            let sc = &cands[s];
-            if is_ancestor(tree, sc.node, c.node) {
-                let dl = ladvs[s] - lat.overlap_discount(sc, c.dc_ptcm);
-                let de = emodel.eadv_agg(sc, dl);
+            let sc = &rows[s];
+            if sc.is_ancestor_of(c) {
+                let dl = ladvs[s] - sc.lred(model) * c.cand.dc_ptcm as f64;
+                let de = emodel.eadv_agg(&sc.cand, dl);
                 if advantage(dl, de) <= 0.0 {
                     return false;
                 }
@@ -412,38 +422,25 @@ fn select_in_tree(
     }
     selected
         .into_iter()
-        .map(|k| (cands[k].clone(), ladvs[k], eadvs[k]))
+        .map(|k| (&rows[k].cand, ladvs[k], eadvs[k]))
         .collect()
-}
-
-/// Is `a` a (strict) ancestor of `b` in the tree?
-fn is_ancestor(tree: &SliceTree, a: preexec_slicer::NodeId, b: preexec_slicer::NodeId) -> bool {
-    let mut cur = tree.node(b).parent;
-    while let Some(p) = cur {
-        if p == a {
-            return true;
-        }
-        cur = tree.node(p).parent;
-    }
-    false
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MachineParams;
+    use preexec_critpath::LoadCost;
     use preexec_mem::HierarchyConfig;
     use preexec_slicer::SliceConfig;
-    use preexec_trace::{FuncSim, MemAnnotation, Trace};
+    use preexec_trace::{FuncSim, MemAnnotation, Profile};
     use preexec_workloads::{build, InputSet};
 
     struct Fixture {
         program: preexec_isa::Program,
-        profile: Profile,
         trees: Vec<SliceTree>,
-        costs: Vec<LoadCost>,
+        table: CandidateTable,
         app: AppParams,
-        #[allow(dead_code)]
-        trace: Trace,
     }
 
     fn fixture(name: &str) -> Fixture {
@@ -469,23 +466,26 @@ mod tests {
             e0: l0 * 0.35,
             bw_seq_mt: cp.ipc(),
         };
+        let table = CandidateTable::build(
+            &trees,
+            &profile,
+            &costs,
+            MachineParams::default(),
+            app.bw_seq_mt,
+        );
         Fixture {
             program,
-            profile,
             trees,
-            costs,
+            table,
             app,
-            trace,
         }
     }
 
     fn inputs(f: &Fixture) -> SelectorInputs<'_> {
         SelectorInputs {
             program: &f.program,
-            profile: &f.profile,
             trees: &f.trees,
-            costs: &f.costs,
-            machine: MachineParams::default(),
+            table: &f.table,
             energy: EnergyParams::default(),
             app: f.app,
         }

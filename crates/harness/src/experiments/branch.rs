@@ -11,7 +11,7 @@ use preexec_slicer::SliceTree;
 use preexec_trace::{FuncSim, MemAnnotation, Profile};
 use preexec_workloads::InputSet;
 use pthsel::{
-    select_branch_pthreads, AppParams, Selection, SelectionTarget, SelectorInputs,
+    select_branch_pthreads, AppParams, CandidateTable, Selection, SelectionTarget, SelectorInputs,
     DEFAULT_MISPREDICT_PENALTY,
 };
 use std::fmt;
@@ -129,16 +129,22 @@ fn study(name: &str, cfg: &ExpConfig, target: SelectionTarget) -> BranchStudy {
         e0: baseline.total_energy(&cfg.energy),
         bw_seq_mt: baseline.ipc(),
     };
+    let table = CandidateTable::for_branches(
+        &trees,
+        &profile,
+        &branches,
+        cfg.machine_params(),
+        app.bw_seq_mt,
+        DEFAULT_MISPREDICT_PENALTY,
+    );
     let inputs = SelectorInputs {
         program: &program,
-        profile: &profile,
         trees: &trees,
-        costs: &[],
-        machine: cfg.machine_params(),
+        table: &table,
         energy: cfg.energy_params(),
         app,
     };
-    let selection = select_branch_pthreads(&inputs, &branches, target, DEFAULT_MISPREDICT_PENALTY);
+    let selection = select_branch_pthreads(&inputs, target);
     let opt = Simulator::new(&program, cfg.sim)
         .with_pthreads(&selection.pthreads)
         .run();

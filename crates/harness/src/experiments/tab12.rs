@@ -7,6 +7,7 @@ use crate::{ExpConfig, TextTable};
 use preexec_critpath::LoadCost;
 use preexec_isa::{AluOp, Inst, Reg};
 use preexec_json::impl_json_object;
+use preexec_slicer::{alu_count, load_count};
 use pthsel::{AppParams, Candidate, CompositeModel, EnergyModel, LatencyModel, MissCostModel};
 use std::fmt;
 
@@ -57,8 +58,9 @@ fn example_candidate() -> Candidate {
         node: 1,
         root_pc: 15,
         trigger_pc: 3,
-        body,
-        body_pcs: vec![3, 11, 13, 14, 15],
+        size: body.len(),
+        alu: alu_count(&body),
+        loads: load_count(&body),
         dc_trig: 100,
         dc_ptcm: 40,
         lookahead: 30.0,

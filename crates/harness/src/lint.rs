@@ -161,19 +161,12 @@ pub fn run(engine: &Engine, cfg: &ExpConfig) -> LintSummary {
         };
         let machine = cfg.machine_params();
         for (ti, tree) in prep.trees.iter().enumerate() {
-            let cands = candidates_from_tree(
-                &prep.program,
-                tree,
-                ti,
-                &prep.profile,
-                &machine,
-                prep.app.bw_seq_mt,
-            );
+            let cands = candidates_from_tree(tree, ti, &prep.profile, &machine, prep.app.bw_seq_mt);
             kl.candidates += cands.len();
             for c in &cands {
                 let as_pthread = PThread {
                     trigger_pc: c.trigger_pc,
-                    body: c.body.clone(),
+                    body: c.body(tree),
                     targets: vec![c.root_pc],
                     dc_trig: c.dc_trig,
                     dc_ptcm: c.dc_ptcm,

@@ -107,6 +107,18 @@ impl Metrics {
         out
     }
 
+    /// Runs `f`, adding its wall-clock to `stage` without counting a
+    /// call: for work a stage owns that is not one of its calls, such as
+    /// the selection table every later select of a program reads.
+    pub fn time_uncounted<T>(&self, stage: Stage, f: impl FnOnce() -> T) -> T {
+        let start = Instant::now();
+        let out = f();
+        let cell = &self.stages[stage.index()];
+        cell.nanos
+            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        out
+    }
+
     /// Adds profiling-trace instructions.
     pub fn add_trace_insts(&self, n: u64) {
         self.trace_insts.fetch_add(n, Ordering::Relaxed);

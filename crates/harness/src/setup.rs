@@ -3,8 +3,9 @@
 //!
 //! Preparation is split in two so the engine can memoize it: a
 //! [`PreparedCore`] holds every artifact that is *independent of the
-//! energy constants* (trace-derived profile, slice trees, cost functions,
-//! baseline timing run) and is cached under [`PreparedCore::structural_key`];
+//! energy constants* (trace-derived profile, slice trees and their
+//! selection table, cost functions, baseline timing run) and is cached
+//! under [`PreparedCore::structural_key`];
 //! [`Prepared`] wraps an `Arc<PreparedCore>` with the full config and the
 //! (cheap, energy-dependent) application parameters. Sweeps that only
 //! perturb energy constants or selection weights therefore reuse the
@@ -19,7 +20,8 @@ use preexec_slicer::{SliceConfig, SliceTree};
 use preexec_trace::{FuncSim, MemAnnotation, Profile, Trace};
 use preexec_workloads::InputSet;
 use pthsel::{
-    select, AppParams, EnergyParams, MachineParams, Selection, SelectionTarget, SelectorInputs,
+    select, AppParams, CandidateTable, EnergyParams, MachineParams, Selection, SelectionTarget,
+    SelectorInputs,
 };
 
 /// Version of the analysis/simulation model, folded into every memo and
@@ -345,6 +347,9 @@ pub struct PreparedCore {
     pub trees: Vec<SliceTree>,
     /// Criticality-based cost functions of the problem loads.
     pub costs: Vec<LoadCost>,
+    /// Every candidate of `trees` with its latency terms, read by every
+    /// selection on this core.
+    pub table: CandidateTable,
     /// Critical-path breakdown of the unoptimized profiling run.
     pub cp_breakdown: Breakdown,
     /// Unoptimized timing-simulator baseline (on the run input).
@@ -433,6 +438,17 @@ impl PreparedCore {
                 .collect()
         });
         m.add_slice_nodes(trees.iter().map(|t| t.len() as u64).sum());
+        // PTHSEL work, though not a select call: `select.calls` keeps
+        // counting selections only.
+        let table = m.time_uncounted(Stage::Select, || {
+            CandidateTable::build(
+                &trees,
+                &base.profile,
+                &base.costs,
+                cfg.machine_params(),
+                bw_seq_mt(&base.baseline, base.cp_ipc),
+            )
+        });
 
         PreparedCore {
             name: base.name.clone(),
@@ -440,6 +456,7 @@ impl PreparedCore {
             profile: base.profile.clone(),
             trees,
             costs: base.costs.clone(),
+            table,
             cp_breakdown: base.cp_breakdown,
             baseline: base.baseline.clone(),
             fingerprint: base.fingerprint.clone(),
@@ -465,6 +482,16 @@ impl PreparedCore {
                 cfg.max_problem_loads,
             ),
         )
+    }
+}
+
+/// `BWSEQmt` (equation L6), the unoptimized IPC: measured from the
+/// baseline when it finished, else the critical-path estimate.
+fn bw_seq_mt(baseline: &SimReport, cp_ipc: f64) -> f64 {
+    if baseline.finished {
+        baseline.ipc()
+    } else {
+        cp_ipc
     }
 }
 
@@ -509,13 +536,7 @@ impl Prepared {
         let app = AppParams {
             l0,
             e0,
-            // BWSEQmt: the unoptimized IPC. Measured from the baseline when
-            // available; the critical-path estimate is the fallback.
-            bw_seq_mt: if core.baseline.finished {
-                core.baseline.ipc()
-            } else {
-                core.cp_ipc
-            },
+            bw_seq_mt: bw_seq_mt(&core.baseline, core.cp_ipc),
         };
         Prepared {
             core,
@@ -528,10 +549,8 @@ impl Prepared {
     pub fn select(&self, target: SelectionTarget) -> Selection {
         let inputs = SelectorInputs {
             program: &self.program,
-            profile: &self.profile,
             trees: &self.trees,
-            costs: &self.costs,
-            machine: self.cfg.machine_params(),
+            table: &self.table,
             energy: self.cfg.energy_params(),
             app: self.app,
         };

@@ -8,7 +8,7 @@
 use preexec::critpath::{CritPathConfig, CritPathModel, LoadCost};
 use preexec::isa::{ProgramBuilder, Reg};
 use preexec::pthsel::{
-    select, AppParams, EnergyParams, MachineParams, SelectionTarget, SelectorInputs,
+    select, AppParams, CandidateTable, EnergyParams, MachineParams, SelectionTarget, SelectorInputs,
 };
 use preexec::sim::{SimConfig, Simulator};
 use preexec::slicer::{SliceConfig, SliceTree};
@@ -74,13 +74,19 @@ fn main() {
         bw_seq_mt: baseline.ipc(),
     };
 
-    // 4. Select latency-oriented p-threads and re-simulate.
+    // 4. Score every candidate once, then select latency-oriented
+    //    p-threads and re-simulate. Other targets reuse the same table.
+    let table = CandidateTable::build(
+        &trees,
+        &profile,
+        &costs,
+        MachineParams::default(),
+        app.bw_seq_mt,
+    );
     let inputs = SelectorInputs {
         program: &program,
-        profile: &profile,
         trees: &trees,
-        costs: &costs,
-        machine: MachineParams::default(),
+        table: &table,
         energy: EnergyParams::default(),
         app,
     };

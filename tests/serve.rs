@@ -1,7 +1,7 @@
 //! End-to-end tests of `repro serve`'s service layer: endpoint
 //! validation, singleflight deduplication onto one engine evaluation,
-//! CLI/server byte-identity for experiment artifacts, SSE streaming,
-//! and graceful shutdown.
+//! retargeted selects on shared cores, CLI/server byte-identity for
+//! experiment artifacts, SSE streaming, and graceful shutdown.
 
 use preexec::harness::service::{serve, ServeOptions};
 use preexec::harness::{campaign, experiments, Engine, ExpConfig};
@@ -144,6 +144,53 @@ fn concurrent_identical_selects_share_one_engine_evaluation() {
 
     h.shutdown();
     h.join();
+}
+
+/// Successive selects that retarget one prepared core (target, weight,
+/// idle factor) or prepare another (memory latency) must answer exactly
+/// what a fresh engine answers for the same body: nothing that depends on
+/// the energy constants or `W` may carry over from one request to the
+/// next through the shared core.
+#[test]
+fn successive_selects_on_shared_cores_match_fresh_engines() {
+    let bodies = [
+        r#"{"bench":"gap","target":"energy"}"#,
+        r#"{"bench":"gap","target":"classic"}"#,
+        r#"{"bench":"gap","target":"ed2"}"#,
+        r#"{"bench":"gap","target":"weighted","weight":0.25}"#,
+        r#"{"bench":"gap","target":"weighted","weight":0.5}"#,
+        r#"{"bench":"gap","target":"weighted","weight":0.75}"#,
+        r#"{"bench":"gap","target":"energy","idle_factor":0.1}"#,
+        r#"{"bench":"gap","target":"weighted","weight":0.5,"idle_factor":0.1}"#,
+        r#"{"bench":"gap","target":"ed2","mem_latency":300}"#,
+        r#"{"bench":"gap","target":"weighted","weight":0.25,"mem_latency":300,"idle_factor":0.1}"#,
+    ];
+    let engine = Arc::new(Engine::new(2));
+    let h = serve(&opts(), Some(engine.clone())).unwrap();
+    let served: Vec<String> = bodies
+        .iter()
+        .map(|body| {
+            let resp = call(h.addr(), "POST", "/v1/select", body);
+            assert_eq!(resp.status, 200, "{body}: {}", resp.body_str());
+            resp.body_str()
+        })
+        .collect();
+    assert_eq!(
+        engine.metrics().cache_misses(),
+        2,
+        "one core per memory latency"
+    );
+    assert_eq!(engine.metrics().cache_hits(), bodies.len() as u64 - 2);
+    h.shutdown();
+    h.join();
+
+    for (body, got) in bodies.iter().zip(&served) {
+        let fresh = serve(&opts(), Some(Arc::new(Engine::new(1)))).unwrap();
+        let want = call(fresh.addr(), "POST", "/v1/select", body);
+        fresh.shutdown();
+        fresh.join();
+        assert_eq!(got, &want.body_str(), "{body}");
+    }
 }
 
 #[test]
