@@ -23,7 +23,7 @@ use crate::engine::Engine;
 use crate::setup::ExpConfig;
 use crate::table::{ratio, TextTable};
 use preexec_gen::{build_scenario, GenSpec, Scenario};
-use preexec_json::{impl_json_object, jobj, Json, ToJson};
+use preexec_json::{impl_json_object, Json};
 use std::fmt;
 use std::path::PathBuf;
 
@@ -74,22 +74,7 @@ pub struct AdmissionSummary {
 impl_json_object!(AdmissionSummary {
     generated,
     admitted,
-});
-
-impl AdmissionSummary {
-    /// Parses an admission block from its JSON form.
-    pub fn from_json(j: &Json) -> Result<AdmissionSummary, String> {
-        let u = |k: &str| {
-            j.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("admission: bad field {k:?}"))
-        };
-        Ok(AdmissionSummary {
-            generated: u("generated")?,
-            admitted: u("admitted")?,
-        })
-    }
-}
+} decode);
 
 /// The E-vs-L verdict for one `(scenario, machine, energy)` group of a
 /// complete atlas.
@@ -127,43 +112,12 @@ impl_json_object!(AtlasWinner {
     e_energy,
     verdict,
     ed_winner,
-});
-
-impl AtlasWinner {
-    /// Parses a winner row from its JSON form.
-    pub fn from_json(j: &Json) -> Result<AtlasWinner, String> {
-        let f = |k: &str| {
-            j.get(k)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("winner: bad field {k:?}"))
-        };
-        let s = |k: &str| {
-            j.get(k)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("winner: bad field {k:?}"))
-        };
-        Ok(AtlasWinner {
-            scenario: s("scenario")?,
-            mem_latency: j
-                .get("mem_latency")
-                .and_then(Json::as_u64)
-                .ok_or("winner: bad field \"mem_latency\"")?,
-            idle_factor: f("idle_factor")?,
-            l_time: f("l_time")?,
-            l_energy: f("l_energy")?,
-            e_time: f("e_time")?,
-            e_energy: f("e_energy")?,
-            verdict: s("verdict")?,
-            ed_winner: s("ed_winner")?,
-        })
-    }
-}
+} decode);
 
 /// A (possibly partial, when sharded) atlas outcome: the gen-spec echo,
 /// the whole-grid admission block, the sweep over scenario names, and —
 /// only when the sweep is complete — the per-group winner verdicts.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AtlasResult {
     /// Canonical echo of the knob grid ([`GenSpec::to_json`]).
     pub gen_spec: Json,
@@ -176,43 +130,12 @@ pub struct AtlasResult {
     pub winners: Vec<AtlasWinner>,
 }
 
-impl ToJson for AtlasResult {
-    fn to_json(&self) -> Json {
-        jobj! {
-            "gen_spec" => self.gen_spec.clone(),
-            "admission" => self.admission.clone(),
-            "sweep" => self.sweep.to_json(),
-            "winners" => self.winners.clone()
-        }
-    }
-}
-
-impl AtlasResult {
-    /// Parses an atlas result from its JSON form (shard outputs fed to
-    /// [`merge_atlas`]).
-    pub fn from_json(j: &Json) -> Result<AtlasResult, String> {
-        let gen_spec = j
-            .get("gen_spec")
-            .cloned()
-            .ok_or("atlas: missing \"gen_spec\"")?;
-        let admission =
-            AdmissionSummary::from_json(j.get("admission").ok_or("atlas: missing \"admission\"")?)?;
-        let sweep = SweepResult::from_json(j.get("sweep").ok_or("atlas: missing \"sweep\"")?)?;
-        let winners = j
-            .get("winners")
-            .and_then(Json::as_array)
-            .ok_or("atlas: missing \"winners\"")?
-            .iter()
-            .map(AtlasWinner::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(AtlasResult {
-            gen_spec,
-            admission,
-            sweep,
-            winners,
-        })
-    }
-}
+impl_json_object!(AtlasResult {
+    gen_spec,
+    admission,
+    sweep,
+    winners,
+} decode);
 
 impl fmt::Display for AtlasResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -421,6 +344,7 @@ fn classify(group: &[&SweepCell]) -> Option<AtlasWinner> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use preexec_json::ToJson;
 
     fn cell(bench: &str, w: f64, t: f64, e: f64, index: u64) -> SweepCell {
         SweepCell {

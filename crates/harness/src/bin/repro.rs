@@ -51,10 +51,13 @@
 //! pipeline builds and evaluations on stderr.
 
 use preexec_harness::{
-    adapt, atlas, campaign, coordinate, experiments, lint, service, verify, Engine, ExpConfig,
+    adapt, atlas, campaign, check_bench, coordinate, experiments, lint, service, verify, Engine,
+    ExpConfig,
 };
-use preexec_json::{jobj, ToJson};
+use preexec_json::{jobj, Json, ToJson};
 use preexec_server::loadgen;
+use std::fmt::Display;
+use std::path::PathBuf;
 use std::time::Instant;
 
 fn usage() -> ! {
@@ -84,6 +87,63 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Prints `msg` on stderr and exits with `code`: 2 for a usage error,
+/// 1 for a failure.
+fn die(code: i32, msg: impl Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(code);
+}
+
+/// Prints a result as one JSON line (`--json`) or as its text form.
+fn emit<T: ToJson + Display>(json: bool, value: &T) {
+    if json {
+        println!("{}", value.to_json());
+    } else {
+        print!("{value}");
+    }
+}
+
+/// Reads one subcommand's flags. A missing or malformed flag value is a
+/// usage error, like an unknown flag.
+struct Flags<'a>(std::slice::Iter<'a, String>);
+
+impl<'a> Flags<'a> {
+    fn new(args: &'a [String]) -> Flags<'a> {
+        Flags(args.iter())
+    }
+
+    /// The current flag's value, converted by `parse`.
+    fn with<T>(&mut self, parse: impl FnOnce(&str) -> Option<T>) -> T {
+        self.0
+            .next()
+            .and_then(|v| parse(v))
+            .unwrap_or_else(|| usage())
+    }
+
+    /// The current flag's value, parsed as `T`.
+    fn value<T: std::str::FromStr>(&mut self) -> T {
+        self.with(|v| v.parse().ok())
+    }
+
+    /// The current flag's value as a seed, decimal or `0x`-prefixed hex.
+    fn seed(&mut self) -> u64 {
+        self.with(
+            |s| match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
+                Some(hex) => u64::from_str_radix(hex, 16).ok(),
+                None => s.parse().ok(),
+            },
+        )
+    }
+}
+
+impl<'a> Iterator for Flags<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        self.0.next().map(String::as_str)
+    }
+}
+
 /// Builds the engine, attaching the persistent store when `--store` was
 /// given.
 fn engine_with_store(progress: bool, store: &Option<String>) -> Engine {
@@ -91,10 +151,7 @@ fn engine_with_store(progress: bool, store: &Option<String>) -> Engine {
     if let Some(dir) = store {
         match preexec_campaign::Store::open(dir) {
             Ok(s) => engine = engine.with_store(std::sync::Arc::new(s)),
-            Err(e) => {
-                eprintln!("repro: cannot open store {dir}: {e}");
-                std::process::exit(1);
-            }
+            Err(e) => die(1, format!("repro: cannot open store {dir}: {e}")),
         }
     }
     engine
@@ -112,132 +169,158 @@ fn emit_metrics(engine: &Engine, start: Instant) {
     );
 }
 
-/// Parses a seed given as decimal or `0x`-prefixed hex.
-fn parse_seed(s: &str) -> Option<u64> {
-    match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => s.parse().ok(),
-    }
-}
+/// The grid flags `repro sweep` and `repro pareto` accept.
+const SWEEP_FLAGS: &[&str] = &[
+    "--points",
+    "--bench",
+    "--mem-latency",
+    "--idle-factor",
+    "--journal",
+    "--shard",
+    "--merge",
+    "--from",
+    "--tol",
+];
+/// The grid flags `repro coordinate` accepts: the sweep's, less merging.
+const COORDINATE_FLAGS: &[&str] = &[
+    "--points",
+    "--bench",
+    "--mem-latency",
+    "--idle-factor",
+    "--journal",
+    "--shard",
+    "--tol",
+];
+/// The grid flags `repro atlas` accepts after the gen-spec flags.
+const ATLAS_FLAGS: &[&str] = &[
+    "--points",
+    "--mem-latency",
+    "--idle-factor",
+    "--journal",
+    "--shard",
+    "--merge",
+];
 
-/// Parsed flags shared by `repro sweep` and `repro pareto`.
-struct CampaignArgs {
-    opts: campaign::SweepOptions,
-    tol: f64,
-    /// Files named by `--merge` / `--from`: previously captured sweep
-    /// JSON to merge instead of computing.
+/// The grid flags of `sweep`, `pareto`, `coordinate` and `atlas`, read
+/// by one loop before they are applied to an options struct.
+#[derive(Default)]
+struct GridFlags {
+    points: Option<usize>,
+    benches: Vec<String>,
+    mem_latencies: Vec<u64>,
+    idle_factors: Vec<f64>,
+    journal: Option<PathBuf>,
+    shard: Option<(usize, usize)>,
+    /// Files named by `--merge` / `--from`: previously captured results
+    /// to merge instead of computing.
     inputs: Vec<String>,
+    tol: Option<f64>,
 }
 
-fn parse_campaign_args(rest: &[String]) -> CampaignArgs {
-    let mut a = CampaignArgs {
-        opts: campaign::SweepOptions::default(),
-        tol: 0.005,
-        inputs: Vec::new(),
-    };
-    // The first use of a repeatable grid flag replaces its default;
-    // later uses extend the grid.
-    let (mut benches_set, mut ml_set, mut if_set) = (false, false, false);
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--points" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => a.opts.points = n,
-                None => usage(),
-            },
-            "--bench" => {
-                let Some(b) = it.next() else { usage() };
-                // Generated scenarios (gen:…) are benchmarks too: any
-                // canonical in-range scenario name resolves.
-                if !preexec_workloads::NAMES.contains(&b.as_str()) && !preexec_gen::valid_name(b) {
-                    eprintln!(
-                        "repro: unknown benchmark {b:?} (expected one of {:?} or a gen: scenario)",
-                        preexec_workloads::NAMES
-                    );
-                    std::process::exit(2);
-                }
-                if !std::mem::replace(&mut benches_set, true) {
-                    a.opts.benches.clear();
-                }
-                a.opts.benches.push(b.clone());
+impl GridFlags {
+    /// Reads `args`, every one of which must be a flag in `accepted`.
+    fn parse(args: &[String], accepted: &[&str]) -> GridFlags {
+        let mut grid = GridFlags::default();
+        let mut flags = Flags::new(args);
+        while let Some(flag) = flags.next() {
+            if !grid.take(flag, &mut flags, accepted) {
+                usage();
             }
-            "--mem-latency" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => {
-                    if !std::mem::replace(&mut ml_set, true) {
-                        a.opts.mem_latencies.clear();
-                    }
-                    a.opts.mem_latencies.push(n);
-                }
-                None => usage(),
-            },
-            "--idle-factor" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(f) => {
-                    if !std::mem::replace(&mut if_set, true) {
-                        a.opts.idle_factors.clear();
-                    }
-                    a.opts.idle_factors.push(f);
-                }
-                None => usage(),
-            },
-            "--journal" => match it.next() {
-                Some(p) => a.opts.journal = Some(p.into()),
-                None => usage(),
-            },
-            "--shard" => match it.next().and_then(|v| preexec_campaign::parse_shard(v)) {
-                Some(s) => a.opts.shard = s,
-                None => usage(),
-            },
-            "--merge" | "--from" => match it.next() {
-                Some(p) => a.inputs.push(p.clone()),
-                None => usage(),
-            },
-            "--tol" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(t) => a.tol = t,
-                None => usage(),
-            },
-            _ => usage(),
+        }
+        grid
+    }
+
+    /// Applies `flag` when it is one of `accepted`; false otherwise.
+    fn take(&mut self, flag: &str, flags: &mut Flags, accepted: &[&str]) -> bool {
+        if !accepted.contains(&flag) {
+            return false;
+        }
+        match flag {
+            "--points" => self.points = Some(flags.value()),
+            "--bench" => {
+                let bench: String = flags.value();
+                check_bench(&bench).unwrap_or_else(|e| die(2, format!("repro: {e}")));
+                self.benches.push(bench);
+            }
+            "--mem-latency" => self.mem_latencies.push(flags.value()),
+            "--idle-factor" => self.idle_factors.push(flags.value()),
+            "--journal" => self.journal = Some(flags.value()),
+            "--shard" => self.shard = Some(flags.with(preexec_campaign::parse_shard)),
+            "--merge" | "--from" => self.inputs.push(flags.value()),
+            "--tol" => self.tol = Some(flags.value()),
+            _ => return false,
+        }
+        true
+    }
+
+    fn sweep_options(&self) -> campaign::SweepOptions {
+        let d = campaign::SweepOptions::default();
+        campaign::SweepOptions {
+            benches: given_or(&self.benches, d.benches),
+            points: self.points.unwrap_or(d.points),
+            mem_latencies: given_or(&self.mem_latencies, d.mem_latencies),
+            idle_factors: given_or(&self.idle_factors, d.idle_factors),
+            journal: self.journal.clone(),
+            shard: self.shard.unwrap_or(d.shard),
         }
     }
-    a
-}
 
-/// Reads a sweep result previously captured with `repro --json sweep`.
-fn load_sweep(path: &str) -> campaign::SweepResult {
-    let fail = |what: &str| -> ! {
-        eprintln!("repro: {path}: {what}");
-        std::process::exit(1);
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => fail(&format!("cannot read: {e}")),
-    };
-    // The sweep JSON is the first line (a `--metrics` line may follow).
-    let line = text.lines().next().unwrap_or("");
-    match preexec_json::parse(line).and_then(|j| campaign::SweepResult::from_json(&j)) {
-        Ok(s) => s,
-        Err(e) => fail(&format!("not a sweep capture: {e}")),
+    fn atlas_options(&self, spec: preexec_gen::GenSpec) -> atlas::AtlasOptions {
+        let d = atlas::AtlasOptions::default();
+        atlas::AtlasOptions {
+            spec,
+            points: self.points.unwrap_or(d.points),
+            mem_latencies: given_or(&self.mem_latencies, d.mem_latencies),
+            idle_factors: given_or(&self.idle_factors, d.idle_factors),
+            journal: self.journal.clone(),
+            shard: self.shard.unwrap_or(d.shard),
+        }
     }
 }
 
-/// Merges `--merge`/`--from` files, or runs the sweep on a fresh engine.
-/// Returns the result plus the engine (when one was built) for metrics.
+/// A repeatable grid flag's values: the ones given on the command line,
+/// which replace the default grid, or the default when none were.
+fn given_or<T: Clone>(given: &[T], default: Vec<T>) -> Vec<T> {
+    if given.is_empty() {
+        default
+    } else {
+        given.to_vec()
+    }
+}
+
+/// Reads a result captured with `repro --json <kind>` — its first line,
+/// as a `--metrics` line may follow — and decodes it strictly. An
+/// unreadable or foreign file is a failure.
+fn load_capture<T>(path: &str, kind: &str, decode: fn(&Json) -> Result<T, String>) -> T {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| die(1, format!("repro: {path}: cannot read: {e}")));
+    let line = text.lines().next().unwrap_or("");
+    preexec_json::parse(line)
+        .and_then(|j| decode(&j))
+        .unwrap_or_else(|e| die(1, format!("repro: {path}: not {kind} capture: {e}")))
+}
+
+/// Merges `--merge`/`--from` captures, or runs the sweep on a fresh
+/// engine. Returns the result plus the engine (when one was built) for
+/// metrics.
 fn sweep_or_merge(
-    a: &CampaignArgs,
+    grid: &GridFlags,
     progress: bool,
     store: &Option<String>,
 ) -> (campaign::SweepResult, Option<Engine>) {
-    if a.inputs.is_empty() {
+    if grid.inputs.is_empty() {
         let engine = engine_with_store(progress, store);
-        let result = campaign::run_sweep(&engine, &ExpConfig::default(), &a.opts);
+        let result = campaign::run_sweep(&engine, &ExpConfig::default(), &grid.sweep_options());
         return (result, Some(engine));
     }
-    let parts: Vec<campaign::SweepResult> = a.inputs.iter().map(|p| load_sweep(p)).collect();
+    let parts: Vec<campaign::SweepResult> = grid
+        .inputs
+        .iter()
+        .map(|p| load_capture(p, "a sweep", campaign::SweepResult::from_json))
+        .collect();
     match campaign::merge_sweeps(&parts) {
         Ok(r) => (r, None),
-        Err(e) => {
-            eprintln!("repro: {e}");
-            std::process::exit(1);
-        }
+        Err(e) => die(1, format!("repro: {e}")),
     }
 }
 
@@ -250,14 +333,10 @@ fn run_sweep_cmd(
     store: &Option<String>,
     rest: &[String],
 ) -> ! {
-    let a = parse_campaign_args(rest);
+    let grid = GridFlags::parse(rest, SWEEP_FLAGS);
     let start = Instant::now();
-    let (result, engine) = sweep_or_merge(&a, progress, store);
-    if json {
-        println!("{}", result.to_json());
-    } else {
-        print!("{result}");
-    }
+    let (result, engine) = sweep_or_merge(&grid, progress, store);
+    emit(json, &result);
     if let (true, Some(engine)) = (metrics, engine.as_ref()) {
         emit_metrics(engine, start);
     }
@@ -274,21 +353,12 @@ fn run_pareto_cmd(
     store: &Option<String>,
     rest: &[String],
 ) -> ! {
-    let a = parse_campaign_args(rest);
+    let grid = GridFlags::parse(rest, SWEEP_FLAGS);
     let start = Instant::now();
-    let (sweep, engine) = sweep_or_merge(&a, progress, store);
-    let report = match campaign::pareto(&sweep, a.tol) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("repro pareto: {e}");
-            std::process::exit(1);
-        }
-    };
-    if json {
-        println!("{}", report.to_json());
-    } else {
-        print!("{report}");
-    }
+    let (sweep, engine) = sweep_or_merge(&grid, progress, store);
+    let report = campaign::pareto(&sweep, grid.tol.unwrap_or(0.005))
+        .unwrap_or_else(|e| die(1, format!("repro pareto: {e}")));
+    emit(json, &report);
     if let (true, Some(engine)) = (metrics, engine.as_ref()) {
         emit_metrics(engine, start);
     }
@@ -300,50 +370,35 @@ fn run_pareto_cmd(
 /// defaults, then the spec file, then the command-line overrides.
 /// Unrecognized flags are returned for the caller to parse.
 fn parse_gen_spec(rest: &[String]) -> (preexec_gen::GenSpec, Vec<String>) {
-    let fail = |what: String| -> ! {
-        eprintln!("repro: {what}");
-        std::process::exit(2);
-    };
+    let fail = |what: String| -> ! { die(2, format!("repro: {what}")) };
     let mut spec = preexec_gen::GenSpec::default();
     let mut overrides: Vec<String> = Vec::new();
     let mut leftover: Vec<String> = Vec::new();
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
+    let mut flags = Flags::new(rest);
+    while let Some(flag) = flags.next() {
+        match flag {
             "--spec" => {
-                let Some(path) = it.next() else { usage() };
-                let text = match std::fs::read_to_string(path) {
-                    Ok(t) => t,
-                    Err(e) => fail(format!("{path}: cannot read: {e}")),
-                };
+                let path: String = flags.value();
+                let text = std::fs::read_to_string(&path)
+                    .unwrap_or_else(|e| fail(format!("{path}: cannot read: {e}")));
                 // JSON and TOML share one flag: a spec whose first
                 // non-blank byte is `{` is JSON.
                 spec = if text.trim_start().starts_with('{') {
-                    match preexec_json::parse(&text)
-                        .and_then(|j| preexec_gen::GenSpec::from_json(&j))
-                    {
-                        Ok(s) => s,
-                        Err(e) => fail(format!("{path}: {e}")),
-                    }
+                    preexec_json::parse(&text).and_then(|j| preexec_gen::GenSpec::from_json(&j))
                 } else {
-                    match preexec_gen::GenSpec::from_toml(&text) {
-                        Ok(s) => s,
-                        Err(e) => fail(format!("{path}: {e}")),
-                    }
-                };
+                    preexec_gen::GenSpec::from_toml(&text)
+                }
+                .unwrap_or_else(|e| fail(format!("{path}: {e}")));
             }
-            "--seed" => match it.next().and_then(|v| parse_seed(v)) {
-                Some(s) => overrides.push(format!("seed = {s}")),
-                None => usage(),
-            },
+            "--seed" => overrides.push(format!("seed = {}", flags.seed())),
             "--set" => {
-                let Some(kv) = it.next() else { usage() };
+                let kv: String = flags.value();
                 let Some((key, values)) = kv.split_once('=') else {
                     fail(format!("--set {kv:?}: expected knob=v1,v2,..."))
                 };
                 overrides.push(format!("{} = [{}]", key.trim(), values));
             }
-            _ => leftover.push(arg.clone()),
+            _ => leftover.push(flag.to_string()),
         }
     }
     // Overrides apply in command-line order, after the spec file.
@@ -366,29 +421,22 @@ fn run_gen(json: bool, rest: &[String]) -> ! {
             _ => usage(),
         }
     }
-    let scenarios = match spec.scenarios() {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("repro gen: {e}");
-            std::process::exit(2);
-        }
-    };
+    let scenarios = spec
+        .scenarios()
+        .unwrap_or_else(|e| die(2, format!("repro gen: {e}")));
     let build = |s: &preexec_gen::Scenario| -> preexec_isa::Program {
-        match preexec_gen::build_scenario(s) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("repro gen: {}: {e}", s.name());
-                std::process::exit(1);
-            }
-        }
+        preexec_gen::build_scenario(s)
+            .unwrap_or_else(|e| die(1, format!("repro gen: {}: {e}", s.name())))
     };
     if do_emit {
         if scenarios.len() != 1 {
-            eprintln!(
-                "repro gen: --emit needs exactly one scenario (grid has {})",
-                scenarios.len()
+            die(
+                2,
+                format!(
+                    "repro gen: --emit needs exactly one scenario (grid has {})",
+                    scenarios.len()
+                ),
             );
-            std::process::exit(2);
         }
         print!("{}", preexec_gen::emit_text(&build(&scenarios[0])));
         std::process::exit(0);
@@ -429,7 +477,7 @@ fn run_gen(json: bool, rest: &[String]) -> ! {
             "{}",
             jobj! {
                 "gen_spec" => spec.to_json(),
-                "scenarios" => preexec_json::Json::Array(rows),
+                "scenarios" => Json::Array(rows),
                 "failures" => failures as u64
             }
         );
@@ -443,23 +491,6 @@ fn run_gen(json: bool, rest: &[String]) -> ! {
     std::process::exit(if failures > 0 { 1 } else { 0 });
 }
 
-/// Reads an atlas result previously captured with `repro --json atlas`.
-fn load_atlas(path: &str) -> atlas::AtlasResult {
-    let fail = |what: &str| -> ! {
-        eprintln!("repro: {path}: {what}");
-        std::process::exit(1);
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => fail(&format!("cannot read: {e}")),
-    };
-    let line = text.lines().next().unwrap_or("");
-    match preexec_json::parse(line).and_then(|j| atlas::AtlasResult::from_json(&j)) {
-        Ok(a) => a,
-        Err(e) => fail(&format!("not an atlas capture: {e}")),
-    }
-}
-
 /// `repro atlas`: run (a shard of) a knob-grid campaign over generated
 /// scenarios, or merge previously captured shard outputs.
 fn run_atlas_cmd(
@@ -470,77 +501,27 @@ fn run_atlas_cmd(
     rest: &[String],
 ) -> ! {
     let (spec, rest) = parse_gen_spec(rest);
-    let mut opts = atlas::AtlasOptions {
-        spec,
-        ..atlas::AtlasOptions::default()
-    };
-    let mut inputs: Vec<String> = Vec::new();
-    let (mut ml_set, mut if_set) = (false, false);
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--points" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => opts.points = n,
-                None => usage(),
-            },
-            "--mem-latency" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => {
-                    if !std::mem::replace(&mut ml_set, true) {
-                        opts.mem_latencies.clear();
-                    }
-                    opts.mem_latencies.push(n);
-                }
-                None => usage(),
-            },
-            "--idle-factor" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(f) => {
-                    if !std::mem::replace(&mut if_set, true) {
-                        opts.idle_factors.clear();
-                    }
-                    opts.idle_factors.push(f);
-                }
-                None => usage(),
-            },
-            "--journal" => match it.next() {
-                Some(p) => opts.journal = Some(p.into()),
-                None => usage(),
-            },
-            "--shard" => match it.next().and_then(|v| preexec_campaign::parse_shard(v)) {
-                Some(s) => opts.shard = s,
-                None => usage(),
-            },
-            "--merge" => match it.next() {
-                Some(p) => inputs.push(p.clone()),
-                None => usage(),
-            },
-            _ => usage(),
-        }
-    }
+    let grid = GridFlags::parse(&rest, ATLAS_FLAGS);
     let start = Instant::now();
-    let (result, engine) = if inputs.is_empty() {
+    let (result, engine) = if grid.inputs.is_empty() {
         let engine = engine_with_store(progress, store);
+        let opts = grid.atlas_options(spec);
         match atlas::run_atlas(&engine, &ExpConfig::default(), &opts) {
             Ok(r) => (r, Some(engine)),
-            Err(e) => {
-                eprintln!("repro atlas: {e}");
-                std::process::exit(1);
-            }
+            Err(e) => die(1, format!("repro atlas: {e}")),
         }
     } else {
-        let parts: Vec<atlas::AtlasResult> = inputs.iter().map(|p| load_atlas(p)).collect();
+        let parts: Vec<atlas::AtlasResult> = grid
+            .inputs
+            .iter()
+            .map(|p| load_capture(p, "an atlas", atlas::AtlasResult::from_json))
+            .collect();
         match atlas::merge_atlas(&parts) {
             Ok(r) => (r, None),
-            Err(e) => {
-                eprintln!("repro atlas: {e}");
-                std::process::exit(1);
-            }
+            Err(e) => die(1, format!("repro atlas: {e}")),
         }
     };
-    if json {
-        println!("{}", result.to_json());
-    } else {
-        print!("{result}");
-    }
+    emit(json, &result);
     if let (true, Some(engine)) = (metrics, engine.as_ref()) {
         emit_metrics(engine, start);
     }
@@ -550,27 +531,17 @@ fn run_atlas_cmd(
 /// `repro verify`: the differential oracle/fuzz/sanitizer pass.
 fn run_verify(json: bool, progress: bool, rest: &[String]) -> ! {
     let mut opts = verify::VerifyOptions::default();
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--cases" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => opts.cases = n,
-                None => usage(),
-            },
-            "--seed" => match it.next().and_then(|v| parse_seed(v)) {
-                Some(s) => opts.seed = s,
-                None => usage(),
-            },
+    let mut flags = Flags::new(rest);
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--cases" => opts.cases = flags.value(),
+            "--seed" => opts.seed = flags.seed(),
             _ => usage(),
         }
     }
     let engine = Engine::from_env().with_progress(progress);
     let summary = verify::run(&engine, &opts);
-    if json {
-        println!("{}", summary.to_json());
-    } else {
-        print!("{summary}");
-    }
+    emit(json, &summary);
     std::process::exit(if summary.ok() { 0 } else { 1 });
 }
 
@@ -579,13 +550,10 @@ fn run_verify(json: bool, progress: bool, rest: &[String]) -> ! {
 /// 1 findings, 2 bad invocation / unreadable or unparsable file.
 fn run_lint(json: bool, progress: bool, rest: &[String]) -> ! {
     let mut files: Vec<String> = Vec::new();
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--file" => match it.next() {
-                Some(p) => files.push(p.clone()),
-                None => usage(),
-            },
+    let mut flags = Flags::new(rest);
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--file" => files.push(flags.value()),
             _ => usage(),
         }
     }
@@ -593,19 +561,9 @@ fn run_lint(json: bool, progress: bool, rest: &[String]) -> ! {
         let engine = Engine::from_env().with_progress(progress);
         lint::run(&engine, &ExpConfig::default())
     } else {
-        match lint::lint_files(&files) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("repro lint: {e}");
-                std::process::exit(2);
-            }
-        }
+        lint::lint_files(&files).unwrap_or_else(|e| die(2, format!("repro lint: {e}")))
     };
-    if json {
-        println!("{}", summary.to_json());
-    } else {
-        print!("{summary}");
-    }
+    emit(json, &summary);
     std::process::exit(if summary.ok() { 0 } else { 1 });
 }
 
@@ -617,41 +575,20 @@ fn run_serve(progress: bool, store: &Option<String>, rest: &[String]) -> ! {
         store: store.clone(),
         ..service::ServeOptions::default()
     };
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => match it.next() {
-                Some(a) => opts.addr = a.clone(),
-                None => usage(),
-            },
-            "--workers" | "--queue" | "--cache" => {
-                let Some(n) = it.next().and_then(|v| v.parse().ok()) else {
-                    usage()
-                };
-                match arg.as_str() {
-                    "--workers" => opts.workers = n,
-                    "--queue" => opts.queue_cap = n,
-                    _ => opts.cache_cap = n,
-                }
-            }
-            "--deadline-ms" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => opts.deadline_ms = n,
-                None => usage(),
-            },
-            "--store" => match it.next() {
-                Some(d) => opts.store = Some(d.clone()),
-                None => usage(),
-            },
+    let mut flags = Flags::new(rest);
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--addr" => opts.addr = flags.value(),
+            "--workers" => opts.workers = flags.value(),
+            "--queue" => opts.queue_cap = flags.value(),
+            "--cache" => opts.cache_cap = flags.value(),
+            "--deadline-ms" => opts.deadline_ms = flags.value(),
+            "--store" => opts.store = Some(flags.value()),
             _ => usage(),
         }
     }
-    let handle = match service::serve(&opts, None) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("repro serve: cannot bind {}: {e}", opts.addr);
-            std::process::exit(1);
-        }
-    };
+    let handle = service::serve(&opts, None)
+        .unwrap_or_else(|e| die(1, format!("repro serve: cannot bind {}: {e}", opts.addr)));
     println!("{}", jobj! { "serving" => format!("{}", handle.addr()) });
     handle.join();
     std::process::exit(0);
@@ -673,45 +610,28 @@ fn run_coordinate(
         store: store.clone(),
         ..coordinate::CoordinateOptions::default()
     };
-    // Split the coordinator's own flags off; the remainder is the same
-    // grid vocabulary as `repro sweep`.
-    let mut grid: Vec<String> = Vec::new();
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => match it.next() {
-                Some(a) => opts.addr = a.clone(),
-                None => usage(),
-            },
-            "--lease-ms" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => opts.lease_ms = n,
-                None => usage(),
-            },
-            "--batch" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => opts.batch = n,
-                None => usage(),
-            },
-            "--workers" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => opts.workers = n,
-                None => usage(),
-            },
-            _ => grid.push(arg.clone()),
+    // The coordinator's own flags, then the grid vocabulary of
+    // `repro sweep`.
+    let mut grid = GridFlags::default();
+    let mut flags = Flags::new(rest);
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--addr" => opts.addr = flags.value(),
+            "--lease-ms" => opts.lease_ms = flags.value(),
+            "--batch" => opts.batch = flags.value(),
+            "--workers" => opts.workers = flags.value(),
+            _ if grid.take(flag, &mut flags, COORDINATE_FLAGS) => {}
+            _ => usage(),
         }
     }
-    let a = parse_campaign_args(&grid);
-    if !a.inputs.is_empty() {
-        eprintln!("repro coordinate: --merge/--from make no sense here");
-        std::process::exit(2);
-    }
-    opts.opts = a.opts;
+    opts.opts = grid.sweep_options();
     let start = Instant::now();
-    let handle = match coordinate::coordinate(&opts) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("repro coordinate: cannot bind {}: {e}", opts.addr);
-            std::process::exit(1);
-        }
-    };
+    let handle = coordinate::coordinate(&opts).unwrap_or_else(|e| {
+        die(
+            1,
+            format!("repro coordinate: cannot bind {}: {e}", opts.addr),
+        )
+    });
     eprintln!(
         "{}",
         jobj! {
@@ -721,11 +641,7 @@ fn run_coordinate(
     );
     let result = handle.wait();
     handle.shutdown();
-    if json {
-        println!("{}", result.to_json());
-    } else {
-        print!("{result}");
-    }
+    emit(json, &result);
     if metrics {
         println!(
             "{}",
@@ -742,49 +658,26 @@ fn run_work(json: bool, store: &Option<String>, rest: &[String]) -> ! {
         store: store.clone(),
         ..coordinate::WorkOptions::default()
     };
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" | "--coordinator" => match it.next() {
-                Some(a) => opts.coordinator = a.clone(),
-                None => usage(),
-            },
-            "--poll-ms" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => opts.poll_ms = n,
-                None => usage(),
-            },
-            "--journal" => match it.next() {
-                Some(p) => opts.journal = Some(p.into()),
-                None => usage(),
-            },
-            "--name" => match it.next() {
-                Some(n) => opts.name = Some(n.clone()),
-                None => usage(),
-            },
+    let mut flags = Flags::new(rest);
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--addr" | "--coordinator" => opts.coordinator = flags.value(),
+            "--poll-ms" => opts.poll_ms = flags.value(),
+            "--journal" => opts.journal = Some(flags.value()),
+            "--name" => opts.name = Some(flags.value()),
             _ => usage(),
         }
     }
-    match coordinate::work(&opts) {
-        Ok(summary) => {
-            if json {
-                println!("{}", summary.to_json());
-            } else {
-                println!(
-                    "worker {}: {} leases, {} computed, {} replayed, {} duplicates",
-                    summary.worker,
-                    summary.leases,
-                    summary.computed,
-                    summary.replayed,
-                    summary.duplicates
-                );
-            }
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("repro work: {e}");
-            std::process::exit(1);
-        }
+    let summary = coordinate::work(&opts).unwrap_or_else(|e| die(1, format!("repro work: {e}")));
+    if json {
+        println!("{}", summary.to_json());
+    } else {
+        println!(
+            "worker {}: {} leases, {} computed, {} replayed, {} duplicates",
+            summary.worker, summary.leases, summary.computed, summary.replayed, summary.duplicates
+        );
     }
+    std::process::exit(0);
 }
 
 /// `repro loadgen`: closed-loop load against a running `repro serve`.
@@ -794,39 +687,21 @@ fn run_loadgen(json: bool, rest: &[String]) -> ! {
     let mut cfg = loadgen::LoadgenConfig::default();
     let mut endpoints: Vec<(String, &'static str, String, String)> = Vec::new();
     let mut body_override: Option<String> = None;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => match it.next() {
-                Some(a) => cfg.addr = a.clone(),
-                None => usage(),
-            },
-            "--conns" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => cfg.conns = n,
-                None => usage(),
-            },
-            "--requests" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => cfg.requests = n,
-                None => usage(),
-            },
-            "--endpoint" => {
-                let Some(name) = it.next() else { usage() };
-                match service::endpoint(name) {
-                    Some((method, path, body)) => {
-                        endpoints.push((name.clone(), method, path, body))
-                    }
-                    None => usage(),
-                }
-            }
+    let mut flags = Flags::new(rest);
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--addr" => cfg.addr = flags.value(),
+            "--conns" => cfg.conns = flags.value(),
+            "--requests" => cfg.requests = flags.value(),
+            "--endpoint" => endpoints.push(flags.with(|name| {
+                let (method, path, body) = service::endpoint(name)?;
+                Some((name.to_string(), method, path, body))
+            })),
             "--body-file" => {
-                let Some(path) = it.next() else { usage() };
-                match std::fs::read_to_string(path) {
-                    Ok(b) => body_override = Some(b),
-                    Err(e) => {
-                        eprintln!("repro: cannot read body file {path}: {e}");
-                        std::process::exit(2);
-                    }
-                }
+                let path: String = flags.value();
+                body_override = Some(std::fs::read_to_string(&path).unwrap_or_else(|e| {
+                    die(2, format!("repro: cannot read body file {path}: {e}"))
+                }));
             }
             _ => usage(),
         }
@@ -849,11 +724,7 @@ fn run_loadgen(json: bool, rest: &[String]) -> ! {
             cfg.body = body;
         }
         let report = loadgen::run(&cfg);
-        if json {
-            println!("{}", report.to_json());
-        } else {
-            print!("{report}");
-        }
+        emit(json, &report);
         std::process::exit(if report.clean() { 0 } else { 1 });
     }
     let mut all_clean = true;
@@ -908,91 +779,48 @@ fn run_adapt_cmd(
     let mut objective_name = "min-ed".to_string();
     let mut slowdown = 5.0;
     let mut grid = false;
-    let mut benches_set = false;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
+    let mut benches: Vec<String> = Vec::new();
+    let mut flags = Flags::new(rest);
+    while let Some(flag) = flags.next() {
+        match flag {
             "--check" => {
-                let Some(path) = it.next() else { usage() };
-                let text = match std::fs::read_to_string(path) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("repro: cannot read {path}: {e}");
-                        std::process::exit(2);
-                    }
-                };
+                let path: String = flags.value();
+                let text = std::fs::read_to_string(&path)
+                    .unwrap_or_else(|e| die(2, format!("repro: cannot read {path}: {e}")));
                 match adapt::check_report(&text) {
                     Ok(summary) => {
                         println!("{summary}");
                         std::process::exit(0);
                     }
-                    Err(e) => {
-                        eprintln!("repro: {e}");
-                        std::process::exit(1);
-                    }
+                    Err(e) => die(1, format!("repro: {e}")),
                 }
             }
             "--bench" => {
-                let Some(b) = it.next() else { usage() };
-                if !preexec_workloads::NAMES.contains(&b.as_str()) && !preexec_gen::valid_name(b) {
-                    eprintln!(
-                        "repro: unknown benchmark {b:?} (expected one of {:?} or a gen: scenario)",
-                        preexec_workloads::NAMES
-                    );
-                    std::process::exit(2);
-                }
-                if !std::mem::replace(&mut benches_set, true) {
-                    opts.benches.clear();
-                }
-                opts.benches.push(b.clone());
+                let bench: String = flags.value();
+                check_bench(&bench).unwrap_or_else(|e| die(2, format!("repro: {e}")));
+                benches.push(bench);
             }
             "--grid" => grid = true,
-            "--objective" => match it.next() {
-                Some(o) => objective_name = o.clone(),
-                None => usage(),
-            },
-            "--slowdown" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(p) => slowdown = p,
-                None => usage(),
-            },
-            "--points" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => opts.points = n,
-                None => usage(),
-            },
-            "--stride" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) if n > 0 => opts.stride = n,
-                _ => usage(),
-            },
-            "--epsilon" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(e) => opts.epsilon = e,
-                None => usage(),
-            },
-            "--window" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(w) => opts.phase.window = w,
-                None => usage(),
-            },
-            "--threshold" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(t) => opts.phase.threshold = t,
-                None => usage(),
-            },
-            "--min-phase" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(m) => opts.phase.min_phase = m,
-                None => usage(),
-            },
-            "--seed" => match it.next().and_then(|v| parse_seed(v)) {
-                Some(s) => opts.phase.seed = s,
-                None => usage(),
-            },
+            "--objective" => objective_name = flags.value(),
+            "--slowdown" => slowdown = flags.value(),
+            "--points" => opts.points = flags.value(),
+            "--stride" => opts.stride = flags.with(|v| v.parse().ok().filter(|&n: &u64| n > 0)),
+            "--epsilon" => opts.epsilon = flags.value(),
+            "--window" => opts.phase.window = flags.value(),
+            "--threshold" => opts.phase.threshold = flags.value(),
+            "--min-phase" => opts.phase.min_phase = flags.value(),
+            "--seed" => opts.phase.seed = flags.seed(),
             _ => usage(),
         }
     }
-    match preexec_controller::Objective::parse(&objective_name, slowdown) {
-        Some(o) => opts.objective = o,
-        None => {
-            eprintln!("repro: unknown objective {objective_name:?} (min-e|min-ed|min-ed2)");
-            std::process::exit(2);
-        }
-    }
+    opts.objective = preexec_controller::Objective::parse(&objective_name, slowdown)
+        .unwrap_or_else(|| {
+            die(
+                2,
+                format!("repro: unknown objective {objective_name:?} (min-e|min-ed|min-ed2)"),
+            )
+        });
+    opts.benches = given_or(&benches, opts.benches);
     if grid {
         opts.benches.extend(adapt_grid_scenarios());
     }
@@ -1043,64 +871,38 @@ fn run_one(engine: &Engine, id: &str, cfg: &ExpConfig, json: bool) {
 }
 
 fn main() {
-    let mut json = false;
-    let mut metrics = false;
-    let mut progress = false;
+    let (mut json, mut metrics, mut progress) = (false, false, false);
     let mut store: Option<String> = None;
     let raw: Vec<String> = std::env::args().skip(1).collect();
+    // The global flags may appear anywhere; everything else is the
+    // subcommand (or experiment list) and its own flags.
     let mut args: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < raw.len() {
-        match raw[i].as_str() {
+    let mut flags = Flags::new(&raw);
+    while let Some(arg) = flags.next() {
+        match arg {
             "--json" => json = true,
             "--metrics" => metrics = true,
             "--progress" => progress = true,
-            "--store" => {
-                i += 1;
-                match raw.get(i) {
-                    Some(d) => store = Some(d.clone()),
-                    None => usage(),
-                }
-            }
-            _ => args.push(raw[i].clone()),
+            "--store" => store = Some(flags.value()),
+            _ => args.push(arg.to_string()),
         }
-        i += 1;
     }
-    if args.is_empty() {
-        usage();
-    }
-    if args[0] == "sweep" {
-        run_sweep_cmd(json, metrics, progress, &store, &args[1..]);
-    }
-    if args[0] == "pareto" {
-        run_pareto_cmd(json, metrics, progress, &store, &args[1..]);
-    }
-    if args[0] == "gen" {
-        run_gen(json, &args[1..]);
-    }
-    if args[0] == "atlas" {
-        run_atlas_cmd(json, metrics, progress, &store, &args[1..]);
-    }
-    if args[0] == "adapt" {
-        run_adapt_cmd(json, metrics, progress, &store, &args[1..]);
-    }
-    if args[0] == "verify" {
-        run_verify(json, progress, &args[1..]);
-    }
-    if args[0] == "lint" {
-        run_lint(json, progress, &args[1..]);
-    }
-    if args[0] == "serve" {
-        run_serve(progress, &store, &args[1..]);
-    }
-    if args[0] == "coordinate" {
-        run_coordinate(json, metrics, progress, &store, &args[1..]);
-    }
-    if args[0] == "work" {
-        run_work(json, &store, &args[1..]);
-    }
-    if args[0] == "loadgen" {
-        run_loadgen(json, &args[1..]);
+    let Some((command, rest)) = args.split_first() else {
+        usage()
+    };
+    match command.as_str() {
+        "sweep" => run_sweep_cmd(json, metrics, progress, &store, rest),
+        "pareto" => run_pareto_cmd(json, metrics, progress, &store, rest),
+        "gen" => run_gen(json, rest),
+        "atlas" => run_atlas_cmd(json, metrics, progress, &store, rest),
+        "adapt" => run_adapt_cmd(json, metrics, progress, &store, rest),
+        "verify" => run_verify(json, progress, rest),
+        "lint" => run_lint(json, progress, rest),
+        "serve" => run_serve(progress, &store, rest),
+        "coordinate" => run_coordinate(json, metrics, progress, &store, rest),
+        "work" => run_work(json, &store, rest),
+        "loadgen" => run_loadgen(json, rest),
+        _ => {}
     }
     let engine = engine_with_store(progress, &store);
     let cfg = ExpConfig::default();

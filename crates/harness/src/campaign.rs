@@ -32,7 +32,7 @@ use crate::engine::Engine;
 use crate::setup::{versioned, ExpConfig, MODEL_VERSION};
 use crate::{ratio, TextTable};
 use preexec_campaign::{content_hash, frontier, frontier_excess, owns_cell, Journal};
-use preexec_json::{impl_json_object, jobj, Json, ToJson};
+use preexec_json::{impl_json_object, Json, ToJson};
 use pthsel::SelectionTarget;
 use std::fmt;
 use std::path::PathBuf;
@@ -166,41 +166,9 @@ impl_json_object!(SweepCell {
     base_energy,
     time_ratio,
     energy_ratio,
-});
+} decode);
 
 impl SweepCell {
-    /// Parses a cell from its JSON form (journal entries, sweep files).
-    pub fn from_json(j: &Json) -> Result<SweepCell, String> {
-        let u = |k: &str| {
-            j.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("SweepCell: bad field {k:?}"))
-        };
-        let f = |k: &str| {
-            j.get(k)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("SweepCell: bad field {k:?}"))
-        };
-        Ok(SweepCell {
-            index: u("index")?,
-            bench: j
-                .get("bench")
-                .and_then(Json::as_str)
-                .ok_or("SweepCell: bad field \"bench\"")?
-                .to_string(),
-            mem_latency: u("mem_latency")?,
-            idle_factor: f("idle_factor")?,
-            w: f("w")?,
-            pthreads: u("pthreads")?,
-            cycles: u("cycles")?,
-            base_cycles: u("base_cycles")?,
-            energy: f("energy")?,
-            base_energy: f("base_energy")?,
-            time_ratio: f("time_ratio")?,
-            energy_ratio: f("energy_ratio")?,
-        })
-    }
-
     /// This cell's stable identity (see [`cell_key`]).
     pub fn key(&self) -> String {
         cell_key(&self.bench, self.mem_latency, self.idle_factor, self.w)
@@ -209,7 +177,7 @@ impl SweepCell {
 
 /// A (possibly partial, when sharded) sweep outcome: the spec it ran
 /// under, plus one cell per owned grid point, in index order.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SweepResult {
     /// The expanded spec (model version, grids) — shard-free, so shard
     /// outputs and full runs carry identical specs.
@@ -220,32 +188,11 @@ pub struct SweepResult {
     pub replayed: usize,
 }
 
-impl ToJson for SweepResult {
-    fn to_json(&self) -> Json {
-        // `replayed` is deliberately excluded: resumed and uninterrupted
-        // runs must serialize byte-identically.
-        jobj! { "spec" => self.spec.clone(), "cells" => self.cells.clone() }
-    }
-}
+// `replayed` stays off the wire: resumed and uninterrupted runs must
+// serialize byte-identically.
+impl_json_object!(SweepResult { spec, cells } decode, local = replayed);
 
 impl SweepResult {
-    /// Parses a sweep result from its JSON form.
-    pub fn from_json(j: &Json) -> Result<SweepResult, String> {
-        let spec = j.get("spec").cloned().ok_or("sweep: missing \"spec\"")?;
-        let cells = j
-            .get("cells")
-            .and_then(Json::as_array)
-            .ok_or("sweep: missing \"cells\"")?
-            .iter()
-            .map(SweepCell::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(SweepResult {
-            spec,
-            cells,
-            replayed: 0,
-        })
-    }
-
     /// Total cells the spec expands to (owned or not).
     pub fn expected_cells(&self) -> usize {
         let len = |k: &str| {

@@ -34,7 +34,7 @@ use crate::campaign::{
     SweepResult,
 };
 use crate::engine::Engine;
-use crate::service::json_body;
+use crate::service::decode_body;
 use crate::setup::{ExpConfig, MODEL_VERSION};
 use preexec_campaign::coordinator::{Completion, Coordinator};
 use preexec_campaign::{Journal, Store};
@@ -171,13 +171,9 @@ struct CoordinatorService {
 
 impl CoordinatorService {
     fn register(&self, req: &Request) -> Response {
-        let json = match json_body(req) {
-            Ok(j) => j,
-            Err(resp) => return resp,
-        };
-        let reg = match RegisterRequest::from_json(&json) {
+        let reg = match decode_body(req, RegisterRequest::from_json) {
             Ok(r) => r,
-            Err(e) => return Response::error(400, &e),
+            Err(resp) => return resp,
         };
         let s = &self.state;
         let now = s.now_ms();
@@ -206,9 +202,7 @@ impl CoordinatorService {
     }
 
     fn lease(&self, req: &Request) -> Response {
-        let wr = match json_body(req)
-            .and_then(|j| WorkerRequest::from_json(&j).map_err(|e| Response::error(400, &e)))
-        {
+        let wr = match decode_body(req, WorkerRequest::from_json) {
             Ok(w) => w,
             Err(resp) => return resp,
         };
@@ -247,9 +241,7 @@ impl CoordinatorService {
     }
 
     fn heartbeat(&self, req: &Request) -> Response {
-        let wr = match json_body(req)
-            .and_then(|j| WorkerRequest::from_json(&j).map_err(|e| Response::error(400, &e)))
-        {
+        let wr = match decode_body(req, WorkerRequest::from_json) {
             Ok(w) => w,
             Err(resp) => return resp,
         };
@@ -271,9 +263,7 @@ impl CoordinatorService {
     }
 
     fn complete(&self, req: &Request) -> Response {
-        let creq = match json_body(req)
-            .and_then(|j| CompleteRequest::from_json(&j).map_err(|e| Response::error(400, &e)))
-        {
+        let creq = match decode_body(req, CompleteRequest::from_json) {
             Ok(c) => c,
             Err(resp) => return resp,
         };

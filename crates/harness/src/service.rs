@@ -23,6 +23,9 @@
 //!   [`AtlasRequest`] spec, the response is the full atlas result
 //!   (admission block, sweep, E-vs-L winners). Also long-running and
 //!   SSE-capable.
+//! - `POST /v1/adapt` — run the online W controller (see
+//!   `preexec_harness::adapt`); the body is the strict [`AdaptRequest`],
+//!   the response is the regret report.
 //! - `POST /v1/shutdown` — graceful drain.
 //!
 //! Expensive endpoints go through the kit's full serving path: bounded
@@ -34,7 +37,7 @@
 use crate::engine::{Engine, ProgressSink};
 use crate::experiments;
 use crate::metrics::Stage;
-use crate::setup::ExpConfig;
+use crate::setup::{check_bench, ExpConfig};
 use crate::{adapt, atlas, campaign};
 use preexec_json::dto::{
     AdaptRequest, AtlasRequest, CampaignRequest, EvalRequest, ExperimentRequest, PThreadSummary,
@@ -47,17 +50,33 @@ use preexec_server::{
 use pthsel::{Selection, SelectionTarget};
 use std::sync::Arc;
 
-/// Parses a request body as JSON, reading an empty body as `{}` (every
-/// POST endpoint treats "no body" as "all defaults"). Shared by the
-/// engine service and the coordinator endpoints (`crate::coordinate`).
-pub(crate) fn json_body(req: &Request) -> Result<Json, Response> {
+/// Decodes a request body with a strict DTO decoder (`T::from_json`), or
+/// produces the 400. An empty body reads as `{}`: every POST endpoint
+/// treats "no body" as "all defaults". Shared by the engine service and
+/// the coordinator endpoints (`crate::coordinate`).
+pub(crate) fn decode_body<T>(
+    req: &Request,
+    decode: fn(&Json) -> Result<T, String>,
+) -> Result<T, Response> {
     let body = req
         .body_str()
         .map_err(|e| Response::error(400, &format!("body is not utf-8: {e}")))?;
-    if body.trim().is_empty() {
-        return Ok(Json::object());
-    }
-    parse(body).map_err(|e| Response::error(400, &format!("malformed JSON: {e}")))
+    let json = if body.trim().is_empty() {
+        Json::object()
+    } else {
+        parse(body).map_err(|e| Response::error(400, &format!("malformed JSON: {e}")))?
+    };
+    decode(&json).map_err(|e| Response::error(400, &e))
+}
+
+/// Every name in `benches` must resolve ([`check_bench`]); the 400
+/// names the first one that does not.
+fn check_benches(benches: Option<&[String]>) -> Result<(), Response> {
+    benches
+        .unwrap_or_default()
+        .iter()
+        .try_for_each(|b| check_bench(b))
+        .map_err(|e| Response::error(400, &e))
 }
 
 /// How `repro serve` shapes the server.
@@ -134,12 +153,6 @@ pub fn endpoint(name: &str) -> Option<(&'static str, String, String)> {
     }
 }
 
-/// Whether a bench name resolves: a shipped workload kernel or a
-/// canonical in-range generated scenario (`gen:…`).
-fn known_bench(name: &str) -> bool {
-    preexec_workloads::NAMES.contains(&name) || preexec_gen::valid_name(name)
-}
-
 /// Resolves the validated DTO target name to the selector's enum.
 fn parse_target(name: &str, weight: Option<f64>) -> SelectionTarget {
     match name {
@@ -206,18 +219,8 @@ impl EngineService {
 
     /// Parses + validates an eval body, or produces the 400.
     fn eval_request(&self, req: &Request) -> Result<EvalRequest, Response> {
-        let json = json_body(req)?;
-        let eval = EvalRequest::from_json(&json).map_err(|e| Response::error(400, &e))?;
-        if !known_bench(&eval.bench) {
-            return Err(Response::error(
-                400,
-                &format!(
-                    "unknown benchmark {:?} (expected one of {:?} or a gen: scenario)",
-                    eval.bench,
-                    preexec_workloads::NAMES
-                ),
-            ));
-        }
+        let eval = decode_body(req, EvalRequest::from_json)?;
+        check_bench(&eval.bench).map_err(|e| Response::error(400, &e))?;
         Ok(eval)
     }
 
@@ -315,27 +318,12 @@ impl EngineService {
     }
 
     fn route_campaign(&self, req: &Request) -> Route {
-        // An empty body reads as `{}`: "the default campaign". Anything
-        // else must be the strict DTO.
-        let json = match json_body(req) {
-            Ok(j) => j,
+        let creq = match decode_body(req, CampaignRequest::from_json)
+            .and_then(|c| check_benches(c.benches.as_deref()).map(|()| c))
+        {
+            Ok(c) => c,
             Err(resp) => return Route::Inline(resp),
         };
-        let creq = match CampaignRequest::from_json(&json) {
-            Ok(c) => c,
-            Err(e) => return Route::Inline(Response::error(400, &e)),
-        };
-        if let Some(benches) = &creq.benches {
-            if let Some(bad) = benches.iter().find(|b| !known_bench(b)) {
-                return Route::Inline(Response::error(
-                    400,
-                    &format!(
-                        "unknown benchmark {bad:?} (expected one of {:?} or a gen: scenario)",
-                        preexec_workloads::NAMES
-                    ),
-                ));
-            }
-        }
         let defaults = campaign::SweepOptions::default();
         let opts = campaign::SweepOptions {
             benches: creq.benches.clone().unwrap_or(defaults.benches),
@@ -366,13 +354,9 @@ impl EngineService {
     }
 
     fn route_atlas(&self, req: &Request) -> Route {
-        let json = match json_body(req) {
-            Ok(j) => j,
-            Err(resp) => return Route::Inline(resp),
-        };
-        let areq = match AtlasRequest::from_json(&json) {
+        let areq = match decode_body(req, AtlasRequest::from_json) {
             Ok(a) => a,
-            Err(e) => return Route::Inline(Response::error(400, &e)),
+            Err(resp) => return Route::Inline(resp),
         };
         // Project the request onto the generator spec; knob bounds are
         // validated by `GenSpec::scenarios` inside `run_atlas`.
@@ -420,25 +404,12 @@ impl EngineService {
     }
 
     fn route_adapt(&self, req: &Request) -> Route {
-        let json = match json_body(req) {
-            Ok(j) => j,
+        let areq = match decode_body(req, AdaptRequest::from_json)
+            .and_then(|a| check_benches(a.benches.as_deref()).map(|()| a))
+        {
+            Ok(a) => a,
             Err(resp) => return Route::Inline(resp),
         };
-        let areq = match AdaptRequest::from_json(&json) {
-            Ok(a) => a,
-            Err(e) => return Route::Inline(Response::error(400, &e)),
-        };
-        if let Some(benches) = &areq.benches {
-            if let Some(bad) = benches.iter().find(|b| !known_bench(b)) {
-                return Route::Inline(Response::error(
-                    400,
-                    &format!(
-                        "unknown benchmark {bad:?} (expected one of {:?} or a gen: scenario)",
-                        preexec_workloads::NAMES
-                    ),
-                ));
-            }
-        }
         let defaults = adapt::AdaptOptions::default();
         let objective = preexec_controller::Objective::parse(
             areq.objective.as_deref().unwrap_or("min-ed"),

@@ -53,6 +53,20 @@ pub fn build_program(name: &str, input: InputSet) -> Option<Program> {
     }
 }
 
+/// Checks that a benchmark name resolves: a shipped workload kernel or a
+/// canonical in-range generated scenario (`gen:…`). The error names the
+/// accepted kernels.
+pub fn check_bench(name: &str) -> Result<(), String> {
+    if preexec_workloads::NAMES.contains(&name) || preexec_gen::valid_name(name) {
+        Ok(())
+    } else {
+        Err(format!(
+            "unknown benchmark {name:?} (expected one of {:?} or a gen: scenario)",
+            preexec_workloads::NAMES
+        ))
+    }
+}
+
 /// Content fingerprint of a program binary: instructions plus sorted data
 /// image, hashed. Persistent-store keys for simulator runs are derived
 /// from this rather than from the program *name*, so distinct scenario

@@ -5,8 +5,11 @@
 //! on:
 //!
 //! - **Strict parsing** — [`EvalRequest::from_json`] and friends reject
-//!   unknown fields and wrong types with a field-named error, so a typo
-//!   in a client request is a 400, not a silently ignored option.
+//!   unknown, repeated and wrongly typed fields with a field-named error,
+//!   so a typo in a client request is a 400, not a silently ignored
+//!   option. Each decoder is generated from the same field list as
+//!   `to_json` (see [`impl_json_object!`](crate::impl_json_object)); the
+//!   `check` functions below carry the rules a field list cannot state.
 //! - **Canonical serialization** — `to_json` writes every field in a
 //!   fixed order with absent options as `null`, so the serialized form
 //!   doubles as the singleflight / response-cache key: two requests that
@@ -21,124 +24,26 @@ pub const EXPERIMENT_IDS: [&str; 3] = ["tab12", "fig2", "fig5a"];
 /// Selection-target names accepted in [`EvalRequest::target`].
 pub const TARGET_NAMES: [&str; 6] = ["classic", "latency", "energy", "ed", "ed2", "weighted"];
 
-/// Errors if `j` (an object) has a key outside `allowed`.
-fn reject_unknown(j: &Json, allowed: &[&str], what: &str) -> Result<(), String> {
-    let Json::Object(fields) = j else {
-        return Err(format!("{what}: expected a JSON object"));
-    };
-    for (k, _) in fields {
-        if !allowed.contains(&k.as_str()) {
-            return Err(format!("{what}: unknown field {k:?}"));
+/// `points`, when present, lies in 2..=65: the cap keeps one request's
+/// work bounded.
+fn check_points(what: &str, points: Option<u64>) -> Result<(), String> {
+    match points {
+        Some(p) if !(2..=65).contains(&p) => {
+            Err(format!("{what}: \"points\" must be in 2..=65, got {p}"))
         }
-    }
-    Ok(())
-}
-
-/// A required string field.
-fn req_str(j: &Json, key: &str, what: &str) -> Result<String, String> {
-    match j.get(key) {
-        Some(Json::Str(s)) => Ok(s.clone()),
-        Some(_) => Err(format!("{what}: field {key:?} must be a string")),
-        None => Err(format!("{what}: missing required field {key:?}")),
+        _ => Ok(()),
     }
 }
 
-/// An optional string field (absent or `null` ⇒ `None`).
-fn opt_str(j: &Json, key: &str, what: &str) -> Result<Option<String>, String> {
-    match j.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(Json::Str(s)) => Ok(Some(s.clone())),
-        Some(_) => Err(format!("{what}: field {key:?} must be a string")),
+/// A grid array, when present, is non-empty: omitting it means "the
+/// default grid", an empty one would mean an empty sweep.
+fn check_grid<T>(what: &str, key: &str, grid: &Option<Vec<T>>) -> Result<(), String> {
+    match grid {
+        Some(v) if v.is_empty() => Err(format!(
+            "{what}: field {key:?} must not be empty (omit it for the default)"
+        )),
+        _ => Ok(()),
     }
-}
-
-/// An optional number field as `f64` (absent or `null` ⇒ `None`).
-fn opt_f64(j: &Json, key: &str, what: &str) -> Result<Option<f64>, String> {
-    match j.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => v
-            .as_f64()
-            .map(Some)
-            .ok_or_else(|| format!("{what}: field {key:?} must be a number")),
-    }
-}
-
-/// An optional unsigned-integer field (absent or `null` ⇒ `None`).
-fn opt_u64(j: &Json, key: &str, what: &str) -> Result<Option<u64>, String> {
-    match j.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => v
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| format!("{what}: field {key:?} must be an unsigned integer")),
-    }
-}
-
-/// An optional homogeneous array field, element-parsed by `elem`
-/// (absent or `null` ⇒ `None`; an empty array is an error — omit the
-/// field to mean "default").
-fn opt_array<T>(
-    j: &Json,
-    key: &str,
-    what: &str,
-    kind: &str,
-    elem: impl Fn(&Json) -> Option<T>,
-) -> Result<Option<Vec<T>>, String> {
-    match j.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(Json::Array(items)) => {
-            if items.is_empty() {
-                return Err(format!(
-                    "{what}: field {key:?} must not be empty (omit it for the default)"
-                ));
-            }
-            items
-                .iter()
-                .map(|v| elem(v).ok_or_else(|| format!("{what}: field {key:?} must be {kind}")))
-                .collect::<Result<Vec<_>, _>>()
-                .map(Some)
-        }
-        Some(_) => Err(format!("{what}: field {key:?} must be {kind}")),
-    }
-}
-
-/// A required homogeneous array field, element-parsed by `elem`. Unlike
-/// [`opt_array`], an empty array is legal — coordinator responses use
-/// `[]` to mean "nothing to hand out right now".
-fn req_array<T>(
-    j: &Json,
-    key: &str,
-    what: &str,
-    kind: &str,
-    elem: impl Fn(&Json) -> Option<T>,
-) -> Result<Vec<T>, String> {
-    match j.get(key) {
-        Some(Json::Array(items)) => items
-            .iter()
-            .map(|v| elem(v).ok_or_else(|| format!("{what}: field {key:?} must be {kind}")))
-            .collect(),
-        Some(_) => Err(format!("{what}: field {key:?} must be {kind}")),
-        None => Err(format!("{what}: missing required field {key:?}")),
-    }
-}
-
-/// A required boolean field.
-fn req_bool(j: &Json, key: &str, what: &str) -> Result<bool, String> {
-    match j.get(key) {
-        Some(Json::Bool(b)) => Ok(*b),
-        Some(_) => Err(format!("{what}: field {key:?} must be a boolean")),
-        None => Err(format!("{what}: missing required field {key:?}")),
-    }
-}
-
-/// A required number field.
-fn req_f64(j: &Json, key: &str, what: &str) -> Result<f64, String> {
-    opt_f64(j, key, what)?.ok_or_else(|| format!("{what}: missing required field {key:?}"))
-}
-
-/// A required unsigned-integer field.
-fn req_u64(j: &Json, key: &str, what: &str) -> Result<u64, String> {
-    opt_u64(j, key, what)?.ok_or_else(|| format!("{what}: missing required field {key:?}"))
 }
 
 /// Body of `POST /v1/select` and `POST /v1/sim`: which benchmark to
@@ -164,48 +69,28 @@ pub struct EvalRequest {
 
 crate::impl_json_object!(EvalRequest {
     bench,
-    target,
+    target = "latency",
     weight,
     trace_cap,
     mem_latency,
     idle_factor,
-});
+} decode, check = EvalRequest::check);
 
 impl EvalRequest {
-    const FIELDS: [&'static str; 6] = [
-        "bench",
-        "target",
-        "weight",
-        "trace_cap",
-        "mem_latency",
-        "idle_factor",
-    ];
-
-    /// Strictly parses a request body: unknown fields and wrong types
-    /// are errors; `target` defaults to `"latency"` and is validated
-    /// against [`TARGET_NAMES`].
-    pub fn from_json(j: &Json) -> Result<EvalRequest, String> {
+    /// `target` is one of [`TARGET_NAMES`], and `"weighted"` comes with
+    /// a `weight`.
+    fn check(&self) -> Result<(), String> {
         let what = "EvalRequest";
-        reject_unknown(j, &Self::FIELDS, what)?;
-        let bench = req_str(j, "bench", what)?;
-        let target = opt_str(j, "target", what)?.unwrap_or_else(|| "latency".to_string());
-        if !TARGET_NAMES.contains(&target.as_str()) {
+        if !TARGET_NAMES.contains(&self.target.as_str()) {
             return Err(format!(
-                "{what}: unknown target {target:?} (expected one of {TARGET_NAMES:?})"
+                "{what}: unknown target {:?} (expected one of {TARGET_NAMES:?})",
+                self.target
             ));
         }
-        let weight = opt_f64(j, "weight", what)?;
-        if target == "weighted" && weight.is_none() {
+        if self.target == "weighted" && self.weight.is_none() {
             return Err(format!("{what}: target \"weighted\" requires \"weight\""));
         }
-        Ok(EvalRequest {
-            bench,
-            target,
-            weight,
-            trace_cap: opt_u64(j, "trace_cap", what)?,
-            mem_latency: opt_u64(j, "mem_latency", what)?,
-            idle_factor: opt_f64(j, "idle_factor", what)?,
-        })
+        Ok(())
     }
 
     /// The canonical byte form used as singleflight / cache key.
@@ -222,7 +107,9 @@ pub struct ExperimentRequest {
     pub id: String,
 }
 
-crate::impl_json_object!(ExperimentRequest { id });
+crate::impl_json_object!(ExperimentRequest { id } decode, check = |r: &ExperimentRequest| {
+    ExperimentRequest::from_id(&r.id).map(drop)
+});
 
 impl ExperimentRequest {
     /// Validates the experiment id from the URL path (body is unused).
@@ -234,13 +121,6 @@ impl ExperimentRequest {
                 "unknown experiment {id:?} (expected one of {EXPERIMENT_IDS:?})"
             ))
         }
-    }
-
-    /// Strictly parses `{"id": "..."}`.
-    pub fn from_json(j: &Json) -> Result<ExperimentRequest, String> {
-        let what = "ExperimentRequest";
-        reject_unknown(j, &["id"], what)?;
-        Self::from_id(&req_str(j, "id", what)?)
     }
 }
 
@@ -269,44 +149,16 @@ crate::impl_json_object!(CampaignRequest {
     mem_latencies,
     idle_factors,
     tolerance,
-});
+} decode, check = CampaignRequest::check);
 
 impl CampaignRequest {
-    const FIELDS: [&'static str; 5] = [
-        "benches",
-        "points",
-        "mem_latencies",
-        "idle_factors",
-        "tolerance",
-    ];
-
-    /// Strictly parses a campaign body. Grid arrays, when present, must
-    /// be non-empty and well-typed; `points` is capped to keep one
-    /// request's work bounded.
-    pub fn from_json(j: &Json) -> Result<CampaignRequest, String> {
+    /// Grid arrays, when present, are non-empty; `points` is capped.
+    fn check(&self) -> Result<(), String> {
         let what = "CampaignRequest";
-        reject_unknown(j, &Self::FIELDS, what)?;
-        let points = opt_u64(j, "points", what)?;
-        if let Some(p) = points {
-            if !(2..=65).contains(&p) {
-                return Err(format!("{what}: \"points\" must be in 2..=65, got {p}"));
-            }
-        }
-        Ok(CampaignRequest {
-            benches: opt_array(j, "benches", what, "an array of strings", |v| {
-                v.as_str().map(str::to_string)
-            })?,
-            points,
-            mem_latencies: opt_array(
-                j,
-                "mem_latencies",
-                what,
-                "an array of unsigned integers",
-                Json::as_u64,
-            )?,
-            idle_factors: opt_array(j, "idle_factors", what, "an array of numbers", Json::as_f64)?,
-            tolerance: opt_f64(j, "tolerance", what)?,
-        })
+        check_points(what, self.points)?;
+        check_grid(what, "benches", &self.benches)?;
+        check_grid(what, "mem_latencies", &self.mem_latencies)?;
+        check_grid(what, "idle_factors", &self.idle_factors)
     }
 
     /// The canonical byte form used as singleflight / cache key.
@@ -353,49 +205,23 @@ crate::impl_json_object!(AtlasRequest {
     points,
     mem_latencies,
     idle_factors,
-});
+} decode, check = AtlasRequest::check);
 
 impl AtlasRequest {
-    const FIELDS: [&'static str; 10] = [
-        "seed",
-        "slice_len",
-        "induction_depth",
-        "branch_divergence",
-        "miss_rate",
-        "miss_clustering",
-        "footprint",
-        "points",
-        "mem_latencies",
-        "idle_factors",
-    ];
-
-    /// Strictly parses an atlas body. Knob and campaign grid arrays,
-    /// when present, must be non-empty and well-typed; `points` is
-    /// capped as in [`CampaignRequest`]. Knob *ranges* are validated
-    /// downstream by the generator, which owns the bounds.
-    pub fn from_json(j: &Json) -> Result<AtlasRequest, String> {
+    /// Knob and campaign grid arrays, when present, are non-empty;
+    /// `points` is capped as in [`CampaignRequest`]. Knob *ranges* are
+    /// validated downstream by the generator, which owns the bounds.
+    fn check(&self) -> Result<(), String> {
         let what = "AtlasRequest";
-        reject_unknown(j, &Self::FIELDS, what)?;
-        let points = opt_u64(j, "points", what)?;
-        if let Some(p) = points {
-            if !(2..=65).contains(&p) {
-                return Err(format!("{what}: \"points\" must be in 2..=65, got {p}"));
-            }
-        }
-        let u = |key| opt_array(j, key, what, "an array of unsigned integers", Json::as_u64);
-        let f = |key| opt_array(j, key, what, "an array of numbers", Json::as_f64);
-        Ok(AtlasRequest {
-            seed: opt_u64(j, "seed", what)?,
-            slice_len: u("slice_len")?,
-            induction_depth: u("induction_depth")?,
-            branch_divergence: f("branch_divergence")?,
-            miss_rate: f("miss_rate")?,
-            miss_clustering: f("miss_clustering")?,
-            footprint: u("footprint")?,
-            points,
-            mem_latencies: u("mem_latencies")?,
-            idle_factors: f("idle_factors")?,
-        })
+        check_points(what, self.points)?;
+        check_grid(what, "slice_len", &self.slice_len)?;
+        check_grid(what, "induction_depth", &self.induction_depth)?;
+        check_grid(what, "branch_divergence", &self.branch_divergence)?;
+        check_grid(what, "miss_rate", &self.miss_rate)?;
+        check_grid(what, "miss_clustering", &self.miss_clustering)?;
+        check_grid(what, "footprint", &self.footprint)?;
+        check_grid(what, "mem_latencies", &self.mem_latencies)?;
+        check_grid(what, "idle_factors", &self.idle_factors)
     }
 
     /// The canonical byte form used as singleflight / cache key.
@@ -434,47 +260,22 @@ crate::impl_json_object!(AdaptRequest {
     points,
     stride,
     epsilon,
-});
+} decode, check = AdaptRequest::check);
 
 impl AdaptRequest {
-    const FIELDS: [&'static str; 6] = [
-        "benches",
-        "objective",
-        "slowdown",
-        "points",
-        "stride",
-        "epsilon",
-    ];
-
-    /// Strictly parses an adapt body. `points` is capped as in
-    /// [`CampaignRequest`]; the objective name must be known.
-    pub fn from_json(j: &Json) -> Result<AdaptRequest, String> {
+    /// `points` is capped as in [`CampaignRequest`]; the objective name
+    /// must be known.
+    fn check(&self) -> Result<(), String> {
         let what = "AdaptRequest";
-        reject_unknown(j, &Self::FIELDS, what)?;
-        let points = opt_u64(j, "points", what)?;
-        if let Some(p) = points {
-            if !(2..=65).contains(&p) {
-                return Err(format!("{what}: \"points\" must be in 2..=65, got {p}"));
-            }
-        }
-        let objective = opt_str(j, "objective", what)?;
-        if let Some(o) = &objective {
+        check_points(what, self.points)?;
+        if let Some(o) = &self.objective {
             if !OBJECTIVE_NAMES.contains(&o.as_str()) {
                 return Err(format!(
                     "{what}: unknown objective {o:?} (expected one of {OBJECTIVE_NAMES:?})"
                 ));
             }
         }
-        Ok(AdaptRequest {
-            benches: opt_array(j, "benches", what, "an array of strings", |v| {
-                v.as_str().map(str::to_string)
-            })?,
-            objective,
-            slowdown: opt_f64(j, "slowdown", what)?,
-            points,
-            stride: opt_u64(j, "stride", what)?,
-            epsilon: opt_f64(j, "epsilon", what)?,
-        })
+        check_grid(what, "benches", &self.benches)
     }
 
     /// The canonical byte form used as singleflight / cache key.
@@ -511,34 +312,7 @@ crate::impl_json_object!(PThreadSummary {
     dc_ptcm,
     ladv,
     eadv,
-});
-
-impl PThreadSummary {
-    const FIELDS: [&'static str; 7] = [
-        "trigger_pc",
-        "body_len",
-        "targets",
-        "dc_trig",
-        "dc_ptcm",
-        "ladv",
-        "eadv",
-    ];
-
-    /// Strict parse of one summary object.
-    pub fn from_json(j: &Json) -> Result<PThreadSummary, String> {
-        let what = "PThreadSummary";
-        reject_unknown(j, &Self::FIELDS, what)?;
-        Ok(PThreadSummary {
-            trigger_pc: req_u64(j, "trigger_pc", what)?,
-            body_len: req_u64(j, "body_len", what)?,
-            targets: req_u64(j, "targets", what)?,
-            dc_trig: req_f64(j, "dc_trig", what)?,
-            dc_ptcm: req_f64(j, "dc_ptcm", what)?,
-            ladv: req_f64(j, "ladv", what)?,
-            eadv: req_f64(j, "eadv", what)?,
-        })
-    }
-}
+} decode);
 
 /// Body of a `POST /v1/select` 200 response.
 #[derive(Clone, Debug, PartialEq)]
@@ -565,41 +339,7 @@ crate::impl_json_object!(SelectResponse {
     pthreads,
     predicted_ladv,
     predicted_eadv,
-});
-
-impl SelectResponse {
-    const FIELDS: [&'static str; 6] = [
-        "bench",
-        "target",
-        "label",
-        "pthreads",
-        "predicted_ladv",
-        "predicted_eadv",
-    ];
-
-    /// Strict parse of the response (used by clients and round-trip
-    /// tests).
-    pub fn from_json(j: &Json) -> Result<SelectResponse, String> {
-        let what = "SelectResponse";
-        reject_unknown(j, &Self::FIELDS, what)?;
-        let pthreads = match j.get("pthreads") {
-            Some(Json::Array(items)) => items
-                .iter()
-                .map(PThreadSummary::from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-            Some(_) => return Err(format!("{what}: field \"pthreads\" must be an array")),
-            None => return Err(format!("{what}: missing required field \"pthreads\"")),
-        };
-        Ok(SelectResponse {
-            bench: req_str(j, "bench", what)?,
-            target: req_str(j, "target", what)?,
-            label: req_str(j, "label", what)?,
-            pthreads,
-            predicted_ladv: req_f64(j, "predicted_ladv", what)?,
-            predicted_eadv: req_f64(j, "predicted_eadv", what)?,
-        })
-    }
-}
+} decode);
 
 /// Body of a `POST /v1/sim` 200 response: the gains of pre-execution
 /// under the selected set, plus the full simulator report verbatim.
@@ -616,7 +356,7 @@ pub struct SimResponse {
     /// Energy-delay ratio vs. baseline.
     pub ed_ratio: f64,
     /// The full [`SimReport`](../../preexec_harness) JSON, passed
-    /// through verbatim.
+    /// through verbatim (kept opaque on decode).
     pub report: Json,
 }
 
@@ -627,56 +367,17 @@ crate::impl_json_object!(SimResponse {
     energy_ratio,
     ed_ratio,
     report,
-});
-
-impl SimResponse {
-    const FIELDS: [&'static str; 6] = [
-        "bench",
-        "target",
-        "speedup",
-        "energy_ratio",
-        "ed_ratio",
-        "report",
-    ];
-
-    /// Strict parse of the response envelope; `report` is kept opaque.
-    pub fn from_json(j: &Json) -> Result<SimResponse, String> {
-        let what = "SimResponse";
-        reject_unknown(j, &Self::FIELDS, what)?;
-        Ok(SimResponse {
-            bench: req_str(j, "bench", what)?,
-            target: req_str(j, "target", what)?,
-            speedup: req_f64(j, "speedup", what)?,
-            energy_ratio: req_f64(j, "energy_ratio", what)?,
-            ed_ratio: req_f64(j, "ed_ratio", what)?,
-            report: j
-                .get("report")
-                .cloned()
-                .ok_or_else(|| format!("{what}: missing required field \"report\""))?,
-        })
-    }
-}
+} decode);
 
 /// Body of `POST /v1/workers`: a worker announcing itself to the
-/// coordinator.
+/// coordinator. `{}` is a nameless worker.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RegisterRequest {
     /// Optional human-readable worker name (shown in progress events).
     pub name: Option<String>,
 }
 
-crate::impl_json_object!(RegisterRequest { name });
-
-impl RegisterRequest {
-    /// Strictly parses a registration body; `{}` is a nameless worker.
-    pub fn from_json(j: &Json) -> Result<RegisterRequest, String> {
-        let what = "RegisterRequest";
-        reject_unknown(j, &["name"], what)?;
-        Ok(RegisterRequest {
-            name: opt_str(j, "name", what)?,
-        })
-    }
-}
+crate::impl_json_object!(RegisterRequest { name } decode);
 
 /// Response to `POST /v1/workers`: the worker's identity plus everything
 /// it needs to compute cells compatibly — the model version to refuse
@@ -704,27 +405,7 @@ crate::impl_json_object!(RegisterResponse {
     lease_ms,
     batch,
     spec,
-});
-
-impl RegisterResponse {
-    const FIELDS: [&'static str; 5] = ["worker", "model_version", "lease_ms", "batch", "spec"];
-
-    /// Strict parse; `spec` is kept opaque.
-    pub fn from_json(j: &Json) -> Result<RegisterResponse, String> {
-        let what = "RegisterResponse";
-        reject_unknown(j, &Self::FIELDS, what)?;
-        Ok(RegisterResponse {
-            worker: req_u64(j, "worker", what)?,
-            model_version: req_str(j, "model_version", what)?,
-            lease_ms: req_u64(j, "lease_ms", what)?,
-            batch: req_u64(j, "batch", what)?,
-            spec: j
-                .get("spec")
-                .cloned()
-                .ok_or_else(|| format!("{what}: missing required field \"spec\""))?,
-        })
-    }
-}
+} decode);
 
 /// Body of `POST /v1/lease` and `POST /v1/heartbeat`: just the worker
 /// id.
@@ -734,18 +415,7 @@ pub struct WorkerRequest {
     pub worker: u64,
 }
 
-crate::impl_json_object!(WorkerRequest { worker });
-
-impl WorkerRequest {
-    /// Strictly parses `{"worker": n}`.
-    pub fn from_json(j: &Json) -> Result<WorkerRequest, String> {
-        let what = "WorkerRequest";
-        reject_unknown(j, &["worker"], what)?;
-        Ok(WorkerRequest {
-            worker: req_u64(j, "worker", what)?,
-        })
-    }
-}
+crate::impl_json_object!(WorkerRequest { worker } decode);
 
 /// Response to `POST /v1/lease`. Exactly one of three shapes:
 /// a grant (`lease`/`deadline_ms` set, `cells` non-empty), "poll again"
@@ -769,29 +439,7 @@ crate::impl_json_object!(LeaseResponse {
     cells,
     deadline_ms,
     sweep_done,
-});
-
-impl LeaseResponse {
-    const FIELDS: [&'static str; 4] = ["lease", "cells", "deadline_ms", "sweep_done"];
-
-    /// Strict parse of a lease response.
-    pub fn from_json(j: &Json) -> Result<LeaseResponse, String> {
-        let what = "LeaseResponse";
-        reject_unknown(j, &Self::FIELDS, what)?;
-        Ok(LeaseResponse {
-            lease: opt_u64(j, "lease", what)?,
-            cells: req_array(
-                j,
-                "cells",
-                what,
-                "an array of unsigned integers",
-                Json::as_u64,
-            )?,
-            deadline_ms: opt_u64(j, "deadline_ms", what)?,
-            sweep_done: req_bool(j, "sweep_done", what)?,
-        })
-    }
-}
+} decode);
 
 /// Response to `POST /v1/heartbeat`.
 #[derive(Clone, Debug, PartialEq)]
@@ -804,19 +452,7 @@ pub struct HeartbeatResponse {
     pub sweep_done: bool,
 }
 
-crate::impl_json_object!(HeartbeatResponse { live, sweep_done });
-
-impl HeartbeatResponse {
-    /// Strict parse of a heartbeat response.
-    pub fn from_json(j: &Json) -> Result<HeartbeatResponse, String> {
-        let what = "HeartbeatResponse";
-        reject_unknown(j, &["live", "sweep_done"], what)?;
-        Ok(HeartbeatResponse {
-            live: req_u64(j, "live", what)?,
-            sweep_done: req_bool(j, "sweep_done", what)?,
-        })
-    }
-}
+crate::impl_json_object!(HeartbeatResponse { live, sweep_done } decode);
 
 /// Body of `POST /v1/complete`: computed cell values. Each element is an
 /// opaque sweep-cell object (the coordinator canonicalizes and
@@ -830,24 +466,22 @@ pub struct CompleteRequest {
     pub cells: Vec<Json>,
 }
 
-crate::impl_json_object!(CompleteRequest { worker, cells });
+crate::impl_json_object!(CompleteRequest { worker, cells } decode, check = CompleteRequest::check);
 
 impl CompleteRequest {
-    /// Strict parse; cell objects stay opaque but the array must be a
-    /// non-empty array of objects.
-    pub fn from_json(j: &Json) -> Result<CompleteRequest, String> {
+    /// Cell objects stay opaque, but `cells` is a non-empty array of
+    /// objects.
+    fn check(&self) -> Result<(), String> {
         let what = "CompleteRequest";
-        reject_unknown(j, &["worker", "cells"], what)?;
-        let cells = req_array(j, "cells", what, "an array of objects", |v| {
-            matches!(v, Json::Object(_)).then(|| v.clone())
-        })?;
-        if cells.is_empty() {
+        if !self.cells.iter().all(|c| matches!(c, Json::Object(_))) {
+            return Err(format!(
+                "{what}: field \"cells\" must be an array of objects"
+            ));
+        }
+        if self.cells.is_empty() {
             return Err(format!("{what}: field \"cells\" must not be empty"));
         }
-        Ok(CompleteRequest {
-            worker: req_u64(j, "worker", what)?,
-            cells,
-        })
+        Ok(())
     }
 }
 
@@ -873,24 +507,7 @@ crate::impl_json_object!(CompleteResponse {
     late,
     done,
     total,
-});
-
-impl CompleteResponse {
-    const FIELDS: [&'static str; 5] = ["accepted", "duplicates", "late", "done", "total"];
-
-    /// Strict parse of a completion response.
-    pub fn from_json(j: &Json) -> Result<CompleteResponse, String> {
-        let what = "CompleteResponse";
-        reject_unknown(j, &Self::FIELDS, what)?;
-        Ok(CompleteResponse {
-            accepted: req_u64(j, "accepted", what)?,
-            duplicates: req_u64(j, "duplicates", what)?,
-            late: req_u64(j, "late", what)?,
-            done: req_u64(j, "done", what)?,
-            total: req_u64(j, "total", what)?,
-        })
-    }
-}
+} decode);
 
 #[cfg(test)]
 mod tests {

@@ -271,6 +271,115 @@ impl<T: ToJson> ToJson for &T {
     }
 }
 
+/// Strict decoding from a [`Json`] value: the inverse of [`ToJson`] for
+/// the value types a wire field can hold. Structs get it from the
+/// `decode` form of [`impl_json_object!`].
+pub trait FromJson: Sized {
+    /// How an error message names the expected value (`"a string"`).
+    const EXPECTED: &'static str;
+    /// How an error message names an array of these values.
+    const ARRAY_OF: &'static str = "an array";
+
+    /// Decodes `j`. `Err(None)` means `j` is not [`Self::EXPECTED`] and
+    /// leaves naming the field to the caller; `Err(Some(e))` is a nested
+    /// object's own error.
+    fn decode(j: &Json) -> Result<Self, Option<String>>;
+
+    /// The value an absent field takes, when the field may be absent.
+    fn absent() -> Option<Self> {
+        None
+    }
+}
+
+macro_rules! from_json_scalar {
+    ($($t:ty => $accessor:ident, $expected:literal, $array_of:literal;)*) => {$(
+        impl FromJson for $t {
+            const EXPECTED: &'static str = $expected;
+            const ARRAY_OF: &'static str = $array_of;
+            fn decode(j: &Json) -> Result<Self, Option<String>> {
+                j.$accessor().map(Into::into).ok_or(None)
+            }
+        }
+    )*};
+}
+from_json_scalar! {
+    u64 => as_u64, "an unsigned integer", "an array of unsigned integers";
+    f64 => as_f64, "a number", "an array of numbers";
+    bool => as_bool, "a boolean", "an array of booleans";
+    String => as_str, "a string", "an array of strings";
+}
+
+impl FromJson for Json {
+    const EXPECTED: &'static str = "a JSON value";
+    fn decode(j: &Json) -> Result<Self, Option<String>> {
+        Ok(j.clone())
+    }
+}
+
+impl<T: FromJson> FromJson for Vec<T> {
+    const EXPECTED: &'static str = T::ARRAY_OF;
+    fn decode(j: &Json) -> Result<Self, Option<String>> {
+        j.as_array().ok_or(None)?.iter().map(T::decode).collect()
+    }
+}
+
+/// Absent and `null` both decode to `None`.
+impl<T: FromJson> FromJson for Option<T> {
+    const EXPECTED: &'static str = T::EXPECTED;
+    fn decode(j: &Json) -> Result<Self, Option<String>> {
+        match j {
+            Json::Null => Ok(None),
+            v => T::decode(v).map(Some),
+        }
+    }
+    fn absent() -> Option<Self> {
+        Some(None)
+    }
+}
+
+/// The fields of `j` when it is an object whose keys are all in
+/// `allowed` and none repeats; otherwise an error naming `what` and the
+/// offending field. Used by the `decode` form of [`impl_json_object!`].
+pub fn decode_object<'a>(
+    j: &'a Json,
+    what: &str,
+    allowed: &[&str],
+) -> Result<&'a [(String, Json)], String> {
+    let Json::Object(fields) = j else {
+        return Err(format!("{what}: expected a JSON object"));
+    };
+    for (i, (k, _)) in fields.iter().enumerate() {
+        if !allowed.contains(&k.as_str()) {
+            return Err(format!("{what}: unknown field {k:?}"));
+        }
+        if fields[..i].iter().any(|(seen, _)| seen == k) {
+            return Err(format!("{what}: repeated field {k:?}"));
+        }
+    }
+    Ok(fields)
+}
+
+/// Decodes field `key` of an object checked by [`decode_object`]. An
+/// absent field takes `default`, else [`FromJson::absent`], else is a
+/// "missing required field" error.
+pub fn decode_field<T: FromJson>(
+    fields: &[(String, Json)],
+    what: &str,
+    key: &str,
+    default: Option<T>,
+) -> Result<T, String> {
+    let value = fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+    match (value, default) {
+        (None | Some(Json::Null), Some(d)) => Ok(d),
+        (Some(v), _) => T::decode(v).map_err(|e| {
+            e.unwrap_or_else(|| format!("{what}: field {key:?} must be {}", T::EXPECTED))
+        }),
+        (None, None) => {
+            T::absent().ok_or_else(|| format!("{what}: missing required field {key:?}"))
+        }
+    }
+}
+
 /// Implements [`ToJson`] for a struct with named fields: each listed field
 /// becomes an object entry in declaration order.
 ///
@@ -281,6 +390,34 @@ impl<T: ToJson> ToJson for &T {
 /// let j = P { x: 1.5, n: 3 }.to_json();
 /// assert_eq!(j.to_string(), r#"{"x":1.5,"n":3}"#);
 /// ```
+///
+/// The `decode` form also generates the strict inverse from the same
+/// field list: an inherent `from_json(&Json) -> Result<Self, String>` and
+/// a [`FromJson`] impl, so the type can nest in other decoded types. An
+/// unknown, repeated, mistyped or missing field is an error naming the
+/// type and the field; an `Option` field may be absent or `null`. After
+/// the list come, each optional and in this order:
+///
+/// - `field = expr` in the list: the value when the field is absent or
+///   `null` (the written form always carries the field);
+/// - `check = f`: a `fn(&Self) -> Result<(), String>` for the rules
+///   that span fields or values, run after decoding;
+/// - `local = field`: one field that is not on the wire, decoded as its
+///   `Default`.
+///
+/// ```
+/// use preexec_json::{impl_json_object, parse, ToJson};
+/// #[derive(Debug, PartialEq)]
+/// struct Q { name: String, unit: String, n: Option<u64> }
+/// fn check(q: &Q) -> Result<(), String> {
+///     if q.name.is_empty() { Err("Q: empty name".into()) } else { Ok(()) }
+/// }
+/// impl_json_object!(Q { name, unit = "ms", n } decode, check = check);
+/// let q = Q::from_json(&parse(r#"{"name":"p"}"#).unwrap()).unwrap();
+/// assert_eq!(q.to_json().to_string(), r#"{"name":"p","unit":"ms","n":null}"#);
+/// assert!(Q::from_json(&parse(r#"{"name":"p","x":1}"#).unwrap()).is_err());
+/// assert!(Q::from_json(&parse(r#"{"name":""}"#).unwrap()).is_err());
+/// ```
 #[macro_export]
 macro_rules! impl_json_object {
     ($ty:ty { $($field:ident),* $(,)? }) => {
@@ -289,6 +426,36 @@ macro_rules! impl_json_object {
                 $crate::Json::Object(vec![
                     $((stringify!($field).to_string(), $crate::ToJson::to_json(&self.$field)),)*
                 ])
+            }
+        }
+    };
+    ($ty:ty { $($field:ident $(= $default:expr)?),* $(,)? } decode
+        $(, check = $check:expr)? $(, local = $local:ident)? $(,)?) => {
+        $crate::impl_json_object!($ty { $($field),* });
+
+        impl $ty {
+            /// Strictly decodes the JSON form written by `to_json`.
+            pub fn from_json(j: &$crate::Json) -> Result<Self, String> {
+                const WHAT: &str = stringify!($ty);
+                let fields = $crate::decode_object(j, WHAT, &[$(stringify!($field)),*])?;
+                let value = Self {
+                    $($field: $crate::decode_field(
+                        fields,
+                        WHAT,
+                        stringify!($field),
+                        None$(.or(Some($default.into())))?,
+                    )?,)*
+                    $($local: Default::default(),)?
+                };
+                $(($check)(&value)?;)?
+                Ok(value)
+            }
+        }
+
+        impl $crate::FromJson for $ty {
+            const EXPECTED: &'static str = "an object";
+            fn decode(j: &$crate::Json) -> Result<Self, Option<String>> {
+                Self::from_json(j).map_err(Some)
             }
         }
     };
@@ -304,11 +471,22 @@ macro_rules! jobj {
     };
 }
 
+/// How deeply arrays and objects may nest in a parsed document. The
+/// parser recurses once per level, so the bound keeps hostile input (a
+/// served request body, say) from overflowing a thread's stack; every
+/// document this project writes nests under 10 levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document. Returns an error message with byte offset on
-/// malformed input; trailing whitespace is allowed, trailing garbage not.
+/// malformed input; trailing whitespace is allowed, trailing garbage not,
+/// and nesting deeper than [`MAX_DEPTH`] is an error.
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -321,6 +499,8 @@ pub fn parse(text: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -362,8 +542,22 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if self.peek() == Some(b'[') {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected byte at {}", self.pos)),
         }
@@ -563,6 +757,22 @@ mod tests {
         let big = u64::MAX - 1;
         let j = parse(&Json::U64(big).to_string()).unwrap();
         assert_eq!(j.as_u64(), Some(big));
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&objects).is_err());
+        // Far deeper than any stack allows without the bound.
+        assert!(parse(&"[".repeat(100_000)).is_err());
     }
 
     #[test]

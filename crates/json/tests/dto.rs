@@ -82,6 +82,19 @@ fn every_dto_rejects_unknown_fields() {
                 .err()
                 .map(|e| e.contains("\"x\"")),
         ),
+        // A repeated field is rejected too, even when both copies agree.
+        (
+            r#"{"bench":"gap","bench":"mcf"}"#,
+            EvalRequest::from_json(&parse(r#"{"bench":"gap","bench":"mcf"}"#).unwrap())
+                .err()
+                .map(|e| e.contains("repeated field \"bench\"")),
+        ),
+        (
+            r#"{"id":"tab12","id":"tab12"}"#,
+            ExperimentRequest::from_json(&parse(r#"{"id":"tab12","id":"tab12"}"#).unwrap())
+                .err()
+                .map(|e| e.contains("repeated field \"id\"")),
+        ),
     ];
     for (src, got) in cases {
         assert_eq!(got, Some(true), "payload must be rejected: {src}");

@@ -82,6 +82,26 @@ fn validation_layer_rejects_before_admission() {
 }
 
 #[test]
+fn deeply_nested_bodies_are_400s_and_the_server_keeps_serving() {
+    let h = serve(&opts(), None).unwrap();
+    let addr = h.addr();
+
+    // 100 KB of open brackets: without the parser's nesting bound this
+    // overflows the connection thread's stack and aborts the server.
+    let bad = call(addr, "POST", "/v1/select", &"[".repeat(100_000));
+    assert_eq!(bad.status, 400);
+    assert!(
+        bad.body_str().contains("malformed JSON"),
+        "{}",
+        bad.body_str()
+    );
+    assert_eq!(call(addr, "GET", "/healthz", "").status, 200);
+
+    h.shutdown();
+    h.join();
+}
+
+#[test]
 fn concurrent_identical_selects_share_one_engine_evaluation() {
     let engine = Arc::new(Engine::new(2));
     let h = serve(&opts(), Some(engine.clone())).unwrap();
