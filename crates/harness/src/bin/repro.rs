@@ -54,6 +54,7 @@ use preexec_harness::{
     adapt, atlas, campaign, check_bench, coordinate, experiments, lint, service, verify, Engine,
     ExpConfig,
 };
+use preexec_json::dto::check_unit;
 use preexec_json::{jobj, Json, ToJson};
 use preexec_server::loadgen;
 use std::fmt::Display;
@@ -79,7 +80,7 @@ fn usage() -> ! {
          \x20      repro verify [--json] [--cases N] [--seed S]\n\
          \x20      repro lint [--json] [--file PATH]...\n\
          \x20      repro serve [--addr HOST:PORT] [--workers N] [--queue N] \
-         [--cache N] [--deadline-ms N] [--store DIR] [--progress]\n\
+         [--deadline-ms N] [--store DIR] [--progress]\n\
          \x20      repro loadgen [--json] [--addr HOST:PORT] [--conns N] [--requests M] \
          [--endpoint healthz|metrics|select|sim|tab12|fig2|fig5a|campaigns|atlas|adapt|shutdown]... \
          [--body-file PATH]"
@@ -243,7 +244,11 @@ impl GridFlags {
                 self.benches.push(bench);
             }
             "--mem-latency" => self.mem_latencies.push(flags.value()),
-            "--idle-factor" => self.idle_factors.push(flags.value()),
+            "--idle-factor" => {
+                let factor: f64 = flags.value();
+                check_unit("repro", "--idle-factor", factor).unwrap_or_else(|e| die(2, e));
+                self.idle_factors.push(factor);
+            }
             "--journal" => self.journal = Some(flags.value()),
             "--shard" => self.shard = Some(flags.with(preexec_campaign::parse_shard)),
             "--merge" | "--from" => self.inputs.push(flags.value()),
@@ -581,7 +586,6 @@ fn run_serve(progress: bool, store: &Option<String>, rest: &[String]) -> ! {
             "--addr" => opts.addr = flags.value(),
             "--workers" => opts.workers = flags.value(),
             "--queue" => opts.queue_cap = flags.value(),
-            "--cache" => opts.cache_cap = flags.value(),
             "--deadline-ms" => opts.deadline_ms = flags.value(),
             "--store" => opts.store = Some(flags.value()),
             _ => usage(),

@@ -27,39 +27,32 @@ use preexec_sim::SimReport;
 use pthsel::SelectionTarget;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Environment variable overriding the worker-thread count.
 pub const THREADS_ENV: &str = "REPRO_THREADS";
 
-/// A once-cell per cache key: the first thread to lock an empty slot
-/// builds the value while later arrivals block on the slot (not the whole
-/// map), then share the `Arc`.
-struct Slot<T>(Mutex<Option<Arc<T>>>);
-
-impl<T> Default for Slot<T> {
-    fn default() -> Slot<T> {
-        Slot(Mutex::new(None))
-    }
-}
-
-type SlotMap<T> = Mutex<HashMap<String, Arc<Slot<T>>>>;
+/// One once-cell per cache key: the first caller of an empty slot builds
+/// the value while later arrivals block on the slot (not the whole map),
+/// then share the `Arc`. A build that panics leaves the slot empty, so the
+/// next caller of the key builds again.
+type SlotMap<T> = Mutex<HashMap<String, Arc<OnceLock<Arc<T>>>>>;
 
 /// Looks up `key`, building with `build` on a miss. Returns the shared
 /// value and whether this call was a hit.
 fn memo<T>(map: &SlotMap<T>, key: String, build: impl FnOnce() -> T) -> (Arc<T>, bool) {
-    let slot = {
-        let mut map = map.lock().unwrap();
-        map.entry(key).or_default().clone()
-    };
-    let mut guard = slot.0.lock().unwrap();
-    if let Some(value) = guard.as_ref() {
-        (value.clone(), true)
-    } else {
-        let value = Arc::new(build());
-        *guard = Some(value.clone());
-        (value, false)
-    }
+    let slot = map
+        .lock()
+        .expect("builds run outside the map lock")
+        .entry(key)
+        .or_default()
+        .clone();
+    let mut hit = true;
+    let value = slot.get_or_init(|| {
+        hit = false;
+        Arc::new(build())
+    });
+    (value.clone(), hit)
 }
 
 /// Where engine progress lines go: any thread-safe callback (stderr for
@@ -483,6 +476,18 @@ mod tests {
         let b = e.cached("test:k".to_string(), || 999);
         assert_eq!((e.metrics().aux_misses(), e.metrics().aux_hits()), (1, 1));
         assert_eq!((*a, *b), (41, 41), "second build never runs");
+    }
+
+    #[test]
+    fn a_panicking_build_does_not_poison_its_key() {
+        let e = Engine::new(1);
+        let key = || "test:panics-once".to_string();
+        let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            e.cached::<u32>(key(), || panic!("build failed"))
+        }));
+        assert!(first.is_err(), "the panic reaches the caller");
+        assert_eq!(*e.cached(key(), || 1u32), 1, "the next caller builds again");
+        assert_eq!((e.metrics().aux_misses(), e.metrics().aux_hits()), (1, 0));
     }
 
     #[test]

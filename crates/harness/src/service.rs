@@ -28,9 +28,10 @@
 //!   the response is the regret report.
 //! - `POST /v1/shutdown` — graceful drain.
 //!
-//! Expensive endpoints go through the kit's full serving path: bounded
-//! admission (429 on overload), singleflight + LRU keyed on the
-//! request's canonical DTO form, per-request deadlines (504), and
+//! Expensive endpoints go through the kit's full serving path: one
+//! request cache keyed on the request's canonical DTO form (concurrent
+//! identical requests share one computation, a `200` stays cached),
+//! bounded admission (429 on overload), per-request deadlines (504), and
 //! optional SSE progress (`?stream=sse`) fed by the engine's progress
 //! sink.
 
@@ -89,8 +90,6 @@ pub struct ServeOptions {
     pub workers: usize,
     /// Admission-queue depth; beyond it requests get 429.
     pub queue_cap: usize,
-    /// Response-cache entries (0 disables).
-    pub cache_cap: usize,
     /// Default per-request deadline (overridable via `x-deadline-ms`).
     pub deadline_ms: u64,
     /// Also narrate engine progress on stderr.
@@ -106,7 +105,6 @@ impl Default for ServeOptions {
             addr: "127.0.0.1:7071".to_string(),
             workers: 0,
             queue_cap: 64,
-            cache_cap: 256,
             deadline_ms: 300_000,
             progress: false,
             store: None,
@@ -500,8 +498,8 @@ pub fn serve(opts: &ServeOptions, engine: Option<Arc<Engine>>) -> std::io::Resul
             opts.workers
         },
         queue_cap: opts.queue_cap,
-        cache_cap: opts.cache_cap,
         default_deadline_ms: opts.deadline_ms,
+        ..ServerConfig::default()
     };
     preexec_server::start_with_bus(cfg, service, bus)
 }

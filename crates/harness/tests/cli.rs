@@ -30,6 +30,7 @@ fn malformed_and_foreign_flags_are_usage_errors() {
         &["sweep", "--bench", "quake"],
         &["sweep", "--mem-latency", "-1"],
         &["sweep", "--idle-factor", "lots"],
+        &["sweep", "--idle-factor", "-1"],
         &["sweep", "--shard", "2/2"],
         &["sweep", "--journal"],
         &["sweep", "--seed", "7"],
@@ -41,6 +42,7 @@ fn malformed_and_foreign_flags_are_usage_errors() {
         &["atlas", "--bench", "gap"],
         &["atlas", "--points", "x"],
         &["atlas", "--idle-factor", "x"],
+        &["atlas", "--idle-factor", "2"],
         &["atlas", "--shard", "0/0"],
         &["atlas", "--tol", "0.1"],
         &["adapt", "--stride", "0"],

@@ -2,8 +2,8 @@
 //! `impl_json_object!` generates reads back its own written form,
 //! `T::from_json(&x.to_json()) == x`, both from the value and from its
 //! text. Generated values stay inside each type's semantic rules (known
-//! targets, bounded `points`, non-empty grids), and strings carry the
-//! characters the writer must escape.
+//! targets, bounded `points`, non-empty grids, `W` and idle factors in
+//! `[0, 1]`), and strings carry the characters the writer must escape.
 
 use preexec_harness::atlas::{AdmissionSummary, AtlasResult, AtlasWinner};
 use preexec_harness::campaign::{SweepCell, SweepResult};
@@ -37,6 +37,15 @@ fn number(g: &mut Gen) -> f64 {
         1 => -g.f64(0.0, 1e6),
         2 => g.f64(0.0, 1.0),
         _ => g.f64(-1e-300, 1e300),
+    }
+}
+
+/// A fraction in `[0, 1]`, ends included: `W` and idle factors.
+fn unit(g: &mut Gen) -> f64 {
+    match g.usize(0, 3) {
+        0 => 0.0,
+        1 => 1.0,
+        _ => g.f64(0.0, 1.0),
     }
 }
 
@@ -94,9 +103,9 @@ fn every_decoded_type_reads_back_its_written_form() {
     run_cases(200, |g| {
         let target = g.choose(&TARGET_NAMES).to_string();
         let weight = if target == "weighted" {
-            Some(number(g))
+            Some(unit(g))
         } else {
-            opt(g, number)
+            opt(g, unit)
         };
         round_trips(
             &EvalRequest {
@@ -105,7 +114,7 @@ fn every_decoded_type_reads_back_its_written_form() {
                 weight,
                 trace_cap: opt(g, |g| g.u64(0, u64::MAX)),
                 mem_latency: opt(g, |g| g.u64(0, 1000)),
-                idle_factor: opt(g, number),
+                idle_factor: opt(g, unit),
             },
             EvalRequest::from_json,
         );
@@ -120,7 +129,7 @@ fn every_decoded_type_reads_back_its_written_form() {
                 benches: grid(g, string),
                 points: points(g),
                 mem_latencies: grid(g, |g| g.u64(0, 1000)),
-                idle_factors: grid(g, number),
+                idle_factors: grid(g, unit),
                 tolerance: opt(g, number),
             },
             CampaignRequest::from_json,
@@ -136,7 +145,7 @@ fn every_decoded_type_reads_back_its_written_form() {
                 footprint: grid(g, |g| g.u64(0, 1 << 30)),
                 points: points(g),
                 mem_latencies: grid(g, |g| g.u64(0, 1000)),
-                idle_factors: grid(g, number),
+                idle_factors: grid(g, unit),
             },
             AtlasRequest::from_json,
         );

@@ -12,8 +12,9 @@
 //!   `check` functions below carry the rules a field list cannot state.
 //! - **Canonical serialization** — `to_json` writes every field in a
 //!   fixed order with absent options as `null`, so the serialized form
-//!   doubles as the singleflight / response-cache key: two requests that
-//!   mean the same thing hash to the same bytes.
+//!   doubles as the server's request-cache key (deduplication and
+//!   response caching): two requests that mean the same thing hash to
+//!   the same bytes.
 
 use crate::{Json, ToJson};
 
@@ -44,6 +45,25 @@ fn check_grid<T>(what: &str, key: &str, grid: &Option<Vec<T>>) -> Result<(), Str
         )),
         _ => Ok(()),
     }
+}
+
+/// A fraction of the paper's model — the composition weight `W`
+/// (equation C2) or an idle-power factor — is finite and in `[0, 1]`.
+pub fn check_unit(what: &str, key: &str, value: f64) -> Result<(), String> {
+    if (0.0..=1.0).contains(&value) {
+        Ok(())
+    } else {
+        Err(format!("{what}: {key:?} must be in [0, 1], got {value:?}"))
+    }
+}
+
+/// An `idle_factors` grid, when present, is non-empty and every entry
+/// lies in `[0, 1]`.
+fn check_idle_factors(what: &str, grid: &Option<Vec<f64>>) -> Result<(), String> {
+    check_grid(what, "idle_factors", grid)?;
+    grid.iter()
+        .flatten()
+        .try_for_each(|&f| check_unit(what, "idle_factors", f))
 }
 
 /// Body of `POST /v1/select` and `POST /v1/sim`: which benchmark to
@@ -77,8 +97,8 @@ crate::impl_json_object!(EvalRequest {
 } decode, check = EvalRequest::check);
 
 impl EvalRequest {
-    /// `target` is one of [`TARGET_NAMES`], and `"weighted"` comes with
-    /// a `weight`.
+    /// `target` is one of [`TARGET_NAMES`], `"weighted"` comes with a
+    /// `weight`, and `weight` and `idle_factor` lie in `[0, 1]`.
     fn check(&self) -> Result<(), String> {
         let what = "EvalRequest";
         if !TARGET_NAMES.contains(&self.target.as_str()) {
@@ -90,10 +110,16 @@ impl EvalRequest {
         if self.target == "weighted" && self.weight.is_none() {
             return Err(format!("{what}: target \"weighted\" requires \"weight\""));
         }
+        if let Some(w) = self.weight {
+            check_unit(what, "weight", w)?;
+        }
+        if let Some(f) = self.idle_factor {
+            check_unit(what, "idle_factor", f)?;
+        }
         Ok(())
     }
 
-    /// The canonical byte form used as singleflight / cache key.
+    /// The canonical byte form used as the server's request-cache key.
     pub fn canonical(&self) -> String {
         self.to_json().to_string()
     }
@@ -152,16 +178,17 @@ crate::impl_json_object!(CampaignRequest {
 } decode, check = CampaignRequest::check);
 
 impl CampaignRequest {
-    /// Grid arrays, when present, are non-empty; `points` is capped.
+    /// Grid arrays, when present, are non-empty; `points` is capped;
+    /// idle factors lie in `[0, 1]`.
     fn check(&self) -> Result<(), String> {
         let what = "CampaignRequest";
         check_points(what, self.points)?;
         check_grid(what, "benches", &self.benches)?;
         check_grid(what, "mem_latencies", &self.mem_latencies)?;
-        check_grid(what, "idle_factors", &self.idle_factors)
+        check_idle_factors(what, &self.idle_factors)
     }
 
-    /// The canonical byte form used as singleflight / cache key.
+    /// The canonical byte form used as the server's request-cache key.
     pub fn canonical(&self) -> String {
         self.to_json().to_string()
     }
@@ -209,8 +236,9 @@ crate::impl_json_object!(AtlasRequest {
 
 impl AtlasRequest {
     /// Knob and campaign grid arrays, when present, are non-empty;
-    /// `points` is capped as in [`CampaignRequest`]. Knob *ranges* are
-    /// validated downstream by the generator, which owns the bounds.
+    /// `points` is capped and idle factors checked as in
+    /// [`CampaignRequest`]. Knob *ranges* are validated downstream by the
+    /// generator, which owns the bounds.
     fn check(&self) -> Result<(), String> {
         let what = "AtlasRequest";
         check_points(what, self.points)?;
@@ -221,10 +249,10 @@ impl AtlasRequest {
         check_grid(what, "miss_clustering", &self.miss_clustering)?;
         check_grid(what, "footprint", &self.footprint)?;
         check_grid(what, "mem_latencies", &self.mem_latencies)?;
-        check_grid(what, "idle_factors", &self.idle_factors)
+        check_idle_factors(what, &self.idle_factors)
     }
 
-    /// The canonical byte form used as singleflight / cache key.
+    /// The canonical byte form used as the server's request-cache key.
     pub fn canonical(&self) -> String {
         self.to_json().to_string()
     }
@@ -278,7 +306,7 @@ impl AdaptRequest {
         check_grid(what, "benches", &self.benches)
     }
 
-    /// The canonical byte form used as singleflight / cache key.
+    /// The canonical byte form used as the server's request-cache key.
     pub fn canonical(&self) -> String {
         self.to_json().to_string()
     }
@@ -538,6 +566,26 @@ mod tests {
         assert!(EvalRequest::from_json(&bad).unwrap_err().contains("bench"));
         let bad = parse(r#"{"bench":"gap","target":"weighted"}"#).unwrap();
         assert!(EvalRequest::from_json(&bad).unwrap_err().contains("weight"));
+        for (body, field) in [
+            (
+                r#"{"bench":"gap","target":"weighted","weight":2}"#,
+                "weight",
+            ),
+            (
+                r#"{"bench":"gap","target":"weighted","weight":-1}"#,
+                "weight",
+            ),
+            (r#"{"bench":"gap","idle_factor":-1}"#, "idle_factor"),
+            (r#"{"bench":"gap","idle_factor":1e308}"#, "idle_factor"),
+        ] {
+            let err = EvalRequest::from_json(&parse(body).unwrap()).unwrap_err();
+            assert!(
+                err.contains(field) && err.contains("[0, 1]"),
+                "{body}: {err}"
+            );
+        }
+        let edges = r#"{"bench":"gap","target":"weighted","weight":1,"idle_factor":0}"#;
+        assert!(EvalRequest::from_json(&parse(edges).unwrap()).is_ok());
     }
 
     #[test]
@@ -591,6 +639,10 @@ mod tests {
         assert!(CampaignRequest::from_json(&bad)
             .unwrap_err()
             .contains("unsigned"));
+        let bad = parse(r#"{"idle_factors":[0.05,-1]}"#).unwrap();
+        assert!(CampaignRequest::from_json(&bad)
+            .unwrap_err()
+            .contains("[0, 1]"));
     }
 
     #[test]
@@ -668,6 +720,10 @@ mod tests {
         assert!(AtlasRequest::from_json(&bad)
             .unwrap_err()
             .contains("unsigned"));
+        let bad = parse(r#"{"idle_factors":[2]}"#).unwrap();
+        assert!(AtlasRequest::from_json(&bad)
+            .unwrap_err()
+            .contains("[0, 1]"));
     }
 
     #[test]

@@ -22,7 +22,7 @@ fn select_request_round_trips_against_fixture() {
     let req = EvalRequest::from_json(&parse(&raw).unwrap()).unwrap();
     assert_eq!(req.bench, "mcf");
     assert_eq!(req.target, "weighted");
-    assert_eq!(req.weight, Some(2.0));
+    assert_eq!(req.weight, Some(0.5));
     assert_eq!(req.trace_cap, Some(300_000));
     assert_eq!(req.mem_latency, Some(316));
     assert_eq!(req.idle_factor, None);

@@ -8,13 +8,12 @@
 //! - [`http`] — a minimal HTTP/1.1 wire layer (server + client side);
 //! - [`queue`] — a bounded admission queue and worker pool (backpressure
 //!   answers 429 instead of buffering without bound);
-//! - [`singleflight`] — concurrent identical requests collapse onto one
-//!   computation;
-//! - [`lru`] — a small response cache;
+//! - [`cache`] — the request cache: concurrent identical requests
+//!   collapse onto one computation, and its `200` stays cached (LRU);
 //! - [`bus`] — a non-blocking broadcast bus for progress events;
 //! - [`metrics`] — serving-layer counters for `GET /metrics`;
-//! - [`server`] — the accept loop, per-request orchestration (cache →
-//!   singleflight → admission → deadline → SSE), and graceful drain;
+//! - [`server`] — the accept loop, per-request orchestration (request
+//!   cache → admission → deadline → SSE), and graceful drain;
 //! - [`loadgen`] — a closed-loop benchmark client with a latency
 //!   histogram.
 //!
@@ -26,13 +25,12 @@
 #![forbid(unsafe_code)]
 
 pub mod bus;
+pub mod cache;
 pub mod http;
 pub mod loadgen;
-pub mod lru;
 pub mod metrics;
 pub mod queue;
 pub mod server;
-pub mod singleflight;
 
 pub use bus::Bus;
 pub use http::{call, Request, Response};

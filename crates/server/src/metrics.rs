@@ -1,8 +1,10 @@
 //! Serving-layer counters: request/response classes, admission
-//! rejections, deadline timeouts, response-cache and singleflight
-//! statistics, and in-flight gauges. All atomics — recorded from
-//! connection and worker threads without contention.
+//! rejections, deadline timeouts, request-cache joins (reported as
+//! `cache` hits/misses and `singleflight` leaders/joins), and in-flight
+//! gauges. All atomics — recorded from connection and worker threads
+//! without contention.
 
+use crate::cache::Join;
 use preexec_json::Json;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -50,24 +52,18 @@ impl ServerMetrics {
         }
     }
 
-    /// Records a response-cache hit.
-    pub fn inc_cache_hit(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a response-cache miss.
-    pub fn inc_cache_miss(&self) {
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a singleflight leader (a computation actually admitted).
-    pub fn inc_sf_leader(&self) {
-        self.sf_leaders.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a singleflight follower (a deduplicated request).
-    pub fn inc_sf_join(&self) {
-        self.sf_joins.fetch_add(1, Ordering::Relaxed);
+    /// Records a request-cache join: a hit, or a miss that leads a
+    /// computation or follows one already in flight.
+    pub fn count_join(&self, join: &Join) {
+        let (cache, role) = match join {
+            Join::Hit(_) => (&self.cache_hits, None),
+            Join::Lead(_) => (&self.cache_misses, Some(&self.sf_leaders)),
+            Join::Follow(_) => (&self.cache_misses, Some(&self.sf_joins)),
+        };
+        cache.fetch_add(1, Ordering::Relaxed);
+        if let Some(role) = role {
+            role.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Records an SSE stream served.
@@ -83,31 +79,6 @@ impl ServerMetrics {
     /// Marks one computation leaving a worker.
     pub fn exit_work(&self) {
         self.in_flight.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Requests accepted so far.
-    pub fn requests(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed)
-    }
-
-    /// 5xx responses so far.
-    pub fn resp_5xx(&self) -> u64 {
-        self.resp_5xx.load(Ordering::Relaxed)
-    }
-
-    /// 429 admission rejections so far.
-    pub fn rejected(&self) -> u64 {
-        self.rejected_429.load(Ordering::Relaxed)
-    }
-
-    /// Singleflight joins (deduplicated requests) so far.
-    pub fn sf_joins(&self) -> u64 {
-        self.sf_joins.load(Ordering::Relaxed)
-    }
-
-    /// Response-cache hits so far.
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits.load(Ordering::Relaxed)
     }
 
     /// Snapshot as JSON. `queue_depth` is the admission queue's current

@@ -7,14 +7,14 @@
 //!
 //! Request flow for [`Route::Work`]:
 //!
-//! 1. response-cache (LRU) probe by canonical key;
-//! 2. singleflight join — concurrent identical requests share one
-//!    computation;
-//! 3. bounded admission — a full queue answers `429` with `Retry-After`
-//!    instead of buffering without bound;
-//! 4. deadline wait (`x-deadline-ms` header or the server default) —
+//! 1. one join of the request cache by canonical key: a cached `200` is
+//!    a hit, a key in flight is followed (concurrent identical requests
+//!    share one computation), anything else is led;
+//! 2. bounded admission (leaders only) — a full queue answers `429`
+//!    with `Retry-After` instead of buffering without bound;
+//! 3. deadline wait (`x-deadline-ms` header or the server default) —
 //!    `504` on expiry while the computation continues for later callers;
-//! 5. optionally, the whole wait is streamed as server-sent events
+//! 4. optionally, the whole wait is streamed as server-sent events
 //!    (`?stream=sse`): `queued`, bus progress lines, then `result`.
 //!
 //! Shutdown ([`Route::Shutdown`] or [`ServerHandle::shutdown`]) stops
@@ -22,18 +22,17 @@
 //! connections finish — a graceful drain, not an abort.
 
 use crate::bus::Bus;
+use crate::cache::{Flight, Join, RequestCache};
 use crate::http::{sse_frame, write_sse_head, Request, Response};
-use crate::lru::LruCache;
 use crate::metrics::ServerMetrics;
 use crate::queue::{WorkQueue, WorkerPool};
-use crate::singleflight::{Flight, Role, SingleFlight};
 use preexec_json::Json;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Receiver;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -54,7 +53,8 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Bounded admission-queue capacity (waiting jobs; beyond it → 429).
     pub queue_cap: usize,
-    /// LRU response-cache capacity (0 disables).
+    /// Cached `200` responses kept by the request cache (0 keeps the
+    /// deduplication of concurrent requests and caches nothing).
     pub cache_cap: usize,
     /// Default per-request deadline when no `x-deadline-ms` header is
     /// sent.
@@ -81,8 +81,8 @@ pub enum Route {
     /// health, metrics, validation errors, 404s).
     Inline(Response),
     /// Run on the worker pool behind admission control. `key` is the
-    /// canonicalized request identity: `Some` enables singleflight and
-    /// response caching, `None` marks uncacheable work.
+    /// canonicalized request identity: `Some` joins the request cache
+    /// (deduplication and caching), `None` marks uncacheable work.
     Work {
         /// Canonical request key, or `None` for uncacheable work.
         key: Option<String>,
@@ -117,8 +117,7 @@ struct Shared {
     cfg: ServerConfig,
     service: Arc<dyn Service>,
     queue: Arc<WorkQueue>,
-    flights: SingleFlight<Response>,
-    cache: Mutex<LruCache<Response>>,
+    cache: RequestCache,
     metrics: ServerMetrics,
     bus: Arc<Bus>,
     addr: SocketAddr,
@@ -198,13 +197,11 @@ pub fn start_with_bus(
     let addr = listener.local_addr()?;
     let queue = Arc::new(WorkQueue::new(cfg.queue_cap));
     let workers = WorkerPool::start(cfg.workers, queue.clone());
-    let cache = Mutex::new(LruCache::new(cfg.cache_cap));
     let shared = Arc::new(Shared {
+        cache: RequestCache::new(cfg.cache_cap),
         cfg,
         service,
         queue,
-        flights: SingleFlight::new(),
-        cache,
         metrics: ServerMetrics::new(),
         bus,
         addr,
@@ -339,32 +336,20 @@ fn work(
     let deadline = Duration::from_millis(deadline_ms);
     let mut sse = SseState::open(shared, req, stream, key.as_deref());
 
-    // Layer 1: the response cache.
-    if let Some(k) = &key {
-        let cached = shared.cache.lock().unwrap().get(k);
-        if let Some(resp) = cached {
-            shared.metrics.inc_cache_hit();
-            return finish(shared, stream, &resp, sse.as_mut(), keep);
+    // Layer 1: the request cache.
+    let (flight, leader) = match key.as_deref().map(|k| shared.cache.join(k)) {
+        None => (Flight::new(), true),
+        Some(join) => {
+            shared.metrics.count_join(&join);
+            match join {
+                Join::Hit(resp) => return finish(shared, stream, &resp, sse.as_mut(), keep),
+                Join::Lead(f) => (f, true),
+                Join::Follow(f) => (f, false),
+            }
         }
-        shared.metrics.inc_cache_miss();
-    }
-
-    // Layer 2: singleflight.
-    let (flight, leader) = match &key {
-        Some(k) => match shared.flights.join(k) {
-            Role::Leader(f) => {
-                shared.metrics.inc_sf_leader();
-                (f, true)
-            }
-            Role::Follower(f) => {
-                shared.metrics.inc_sf_join();
-                (f, false)
-            }
-        },
-        None => (Flight::detached(), true),
     };
 
-    // Layer 3: bounded admission (leaders only — followers ride along).
+    // Layer 2: bounded admission (leaders only — followers ride along).
     if leader {
         let job_shared = shared.clone();
         let job_key = key.clone();
@@ -378,21 +363,12 @@ fn work(
                 Ok(resp) => resp,
                 Err(_) => Response::error(500, "handler panicked"),
             };
-            if resp.status == 200 {
-                if let Some(k) = &job_key {
-                    job_shared
-                        .cache
-                        .lock()
-                        .unwrap()
-                        .put(k.clone(), resp.clone());
-                }
-            }
             match &job_key {
-                Some(k) => job_shared.flights.complete(k, &job_flight, resp),
+                Some(k) => {
+                    job_shared.cache.fill(k, &job_flight, resp);
+                    job_shared.bus.publish(&format!("done {k}"));
+                }
                 None => job_flight.fill(resp),
-            }
-            if let Some(k) = &job_key {
-                job_shared.bus.publish(&format!("done {k}"));
             }
             job_shared.metrics.exit_work();
         });
@@ -400,13 +376,13 @@ fn work(
             let resp = Response::error(429, "admission queue full").with_header("retry-after", "1");
             // Unblock any followers that raced onto this flight.
             if let Some(k) = &key {
-                shared.flights.complete(k, &flight, resp.clone());
+                shared.cache.fill(k, &flight, resp.clone());
             }
             return finish(shared, stream, &resp, sse.as_mut(), keep);
         }
     }
 
-    // Layer 4: the deadline wait (streaming progress if SSE).
+    // Layer 3: the deadline wait (streaming progress if SSE).
     let start = Instant::now();
     let resp = loop {
         if let Some(resp) = flight.wait_for(WAIT_STEP) {

@@ -73,6 +73,50 @@ fn validation_layer_rejects_before_admission() {
     );
     assert_eq!(bad.status, 400, "unknown target");
 
+    // W and idle factors outside [0, 1] are outside the paper's model.
+    for (path, body, field) in [
+        (
+            "/v1/select",
+            r#"{"bench":"gap","target":"weighted","weight":2}"#,
+            "weight",
+        ),
+        (
+            "/v1/select",
+            r#"{"bench":"gap","target":"weighted","weight":-1}"#,
+            "weight",
+        ),
+        (
+            "/v1/select",
+            r#"{"bench":"gap","idle_factor":-1}"#,
+            "idle_factor",
+        ),
+        (
+            "/v1/select",
+            r#"{"bench":"gap","idle_factor":1e308}"#,
+            "idle_factor",
+        ),
+        (
+            "/v1/sim",
+            r#"{"bench":"gap","target":"weighted","weight":2}"#,
+            "weight",
+        ),
+        (
+            "/v1/campaigns",
+            r#"{"benches":["gap"],"points":2,"idle_factors":[-1]}"#,
+            "idle_factors",
+        ),
+        (
+            "/v1/atlas",
+            r#"{"points":2,"idle_factors":[0.05,2]}"#,
+            "idle_factors",
+        ),
+    ] {
+        let bad = call(addr, "POST", path, body);
+        assert_eq!(bad.status, 400, "{path} {body}: {}", bad.body_str());
+        assert!(bad.body_str().contains(field), "{}", bad.body_str());
+    }
+    assert_eq!(call(addr, "GET", "/healthz", "").status, 200);
+
     let metrics = parse(&call(addr, "GET", "/metrics", "").body_str()).unwrap();
     assert!(metrics.get("server").is_some() && metrics.get("engine").is_some());
     assert!(get(&metrics, &["server", "requests"]) >= 1);
