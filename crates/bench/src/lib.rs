@@ -1,10 +1,9 @@
 //! # preexec-bench
 //!
-//! Benches, one per table/figure of the paper. Each bench first
-//! *regenerates* its artifact (printing the same rows/series the paper
-//! reports) and then measures the throughput of the dominant analysis
-//! step behind it, so `cargo bench` doubles as the full reproduction
-//! run. See `EXPERIMENTS.md` for recorded outputs.
+//! Benches that back a CI gate or an `EXPERIMENTS.md` section: the
+//! simulator hot path and atlas admission budgets (`hotpath`, `atlas`)
+//! and the design-choice ablations (`ablations`). The paper's tables and
+//! figures regenerate through `repro <id>` instead.
 //!
 //! Measurement uses the in-tree [`Runner`] (mean/min/max over a fixed
 //! sample count) — no external harness.

@@ -1,8 +1,8 @@
 //! # preexec-campaign
 //!
 //! The campaign substrate: everything a long-running, restartable,
-//! horizontally-scalable experiment campaign needs that is *not* about
-//! simulating anything. Three pieces, each independent of the simulator
+//! shardable experiment campaign needs that is *not* about simulating
+//! anything. Three pieces, each independent of the simulator
 //! and the experiment engine (the `preexec-harness::campaign` module
 //! wires them to the engine):
 //!
@@ -21,23 +21,17 @@
 //!
 //! Sharding helpers ([`parse_shard`], [`owns_cell`]) partition a cell
 //! grid across processes deterministically, so `--shard i/n` runs merge
-//! to byte-identical output in any order.
-//!
-//! The [`coordinator`] module adds the dynamic counterpart to static
-//! `--shard i/n` partitioning: a pure lease state machine that hands
-//! batches of cells to registered workers under heartbeat deadlines,
-//! reassigns them on expiry, and absorbs late/duplicate completions
-//! idempotently by content identity.
+//! to byte-identical output in any order. Static shards are the one way
+//! to spread a sweep: a killed shard reruns against its journal, on any
+//! machine that shares the store.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod coordinator;
 pub mod journal;
 pub mod pareto;
 pub mod store;
 
-pub use coordinator::{Completion, CoordCounters, Coordinator, Lease};
 pub use journal::Journal;
 pub use pareto::{dominates, frontier, frontier_excess, winner};
 pub use store::{content_hash, Store, StoreCounters};

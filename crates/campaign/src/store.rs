@@ -13,7 +13,8 @@
 //!   directory and `rename`d into place, so a killed process can leave a
 //!   stale temp file but never a half-written entry.
 //! - **Corruption-tolerant reads** — an unreadable, unparsable, or
-//!   key-mismatched entry counts as a miss (plus a `corrupt` counter);
+//!   key-mismatched entry, or one its reader cannot decode
+//!   ([`Store::load_as`]), counts as a miss (plus a `corrupt` counter);
 //!   callers recompute and overwrite. The store never panics on bad
 //!   on-disk state.
 //! - **Counters** — hits, misses, corrupt entries, writes, and
@@ -117,6 +118,17 @@ impl Store {
     /// Loads the value stored under `key`, if a valid entry exists.
     /// Unreadable, unparsable, or key-mismatched entries are misses.
     pub fn load(&self, key: &str) -> Option<Json> {
+        self.load_as(key, |v| Ok(v.clone()))
+    }
+
+    /// Loads the value stored under `key` and decodes it with `decode`.
+    /// A value `decode` rejects is a corrupt entry like an unparsable
+    /// one: a miss, so the caller recomputes and overwrites it.
+    pub fn load_as<T>(
+        &self,
+        key: &str,
+        decode: impl FnOnce(&Json) -> Result<T, String>,
+    ) -> Option<T> {
         let path = self.path_for(key);
         let text = match fs::read_to_string(&path) {
             Ok(t) => t,
@@ -128,20 +140,18 @@ impl Store {
                 return None;
             }
         };
-        let entry = match parse(&text) {
-            Ok(j) => j,
-            Err(_) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.corrupt.fetch_add(1, Ordering::Relaxed);
-                return None;
+        let value = parse(&text).ok().and_then(|entry| {
+            match (entry.get("key").and_then(Json::as_str), entry.get("value")) {
+                (Some(k), Some(v)) if k == key => decode(v).ok(),
+                _ => None,
             }
-        };
-        match (entry.get("key").and_then(Json::as_str), entry.get("value")) {
-            (Some(k), Some(v)) if k == key => {
+        });
+        match value {
+            Some(v) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v.clone())
+                Some(v)
             }
-            _ => {
+            None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 self.corrupt.fetch_add(1, Ordering::Relaxed);
                 None
@@ -277,6 +287,12 @@ mod tests {
         // Recompute-and-overwrite heals the entry.
         s.save("k", &Json::U64(7));
         assert_eq!(s.load("k"), Some(Json::U64(7)));
+        // A value its reader rejects is corrupt too: a miss, not a hit.
+        let before = s.counters();
+        assert_eq!(s.load_as("k", |_| Err::<(), _>("bad shape".into())), None);
+        let after = s.counters();
+        assert_eq!(after.corrupt, before.corrupt + 1);
+        assert_eq!((after.hits, after.misses), (before.hits, before.misses + 1));
     }
 
     #[test]

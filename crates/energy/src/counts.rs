@@ -1,6 +1,6 @@
 //! Raw structure-access counters produced by the timing simulator.
 
-use preexec_json::{impl_json_object, Json};
+use preexec_json::impl_json_object;
 use std::ops::{Add, AddAssign};
 
 /// Per-structure access counts for one simulated run, split between the
@@ -84,27 +84,7 @@ impl_json_object!(AccessCounts {
     alu_main,
     alu_pth,
     rob_bpred,
-});
-
-impl AccessCounts {
-    /// Rebuilds counters from their JSON form (missing fields read as 0).
-    pub fn from_json(j: &Json) -> AccessCounts {
-        let g = |k: &str| j.get(k).and_then(Json::as_u64).unwrap_or(0);
-        AccessCounts {
-            imem_main: g("imem_main"),
-            imem_pth: g("imem_pth"),
-            dmem_main: g("dmem_main"),
-            dmem_pth: g("dmem_pth"),
-            l2_main: g("l2_main"),
-            l2_pth: g("l2_pth"),
-            dispatch_main: g("dispatch_main"),
-            dispatch_pth: g("dispatch_pth"),
-            alu_main: g("alu_main"),
-            alu_pth: g("alu_pth"),
-            rob_bpred: g("rob_bpred"),
-        }
-    }
-}
+} decode);
 
 #[cfg(test)]
 mod tests {

@@ -5,8 +5,8 @@
 //! lint findings + oracle-vs-pipeline identity — a generator bug aborts
 //! the run, it never silently skews the study), then hands the names to
 //! the ordinary campaign sweep machinery: scenario names *are* benchmark
-//! names as far as cells, journals, shards, the persistent store, and
-//! the coordinator are concerned. On a complete sweep it reduces each
+//! names as far as cells, journals, shards and the persistent store are
+//! concerned. On a complete sweep it reduces each
 //! `(scenario, machine, energy)` group to a verdict: does the pure
 //! energy-aware selection (W = 0, "E") dominate the pure latency
 //! selection (W = 1, "L") in (time, energy), vice versa, or is the pair
@@ -18,7 +18,7 @@
 //! computed over the *whole* grid in every shard, so every shard's
 //! envelope is identical outside its owned cells.
 
-use crate::campaign::{merge_sweeps, run_sweep, SweepCell, SweepOptions, SweepResult};
+use crate::campaign::{merge_sweeps, try_run_sweep, SweepCell, SweepOptions, SweepResult};
 use crate::engine::Engine;
 use crate::setup::ExpConfig;
 use crate::table::{ratio, TextTable};
@@ -217,7 +217,8 @@ fn admit_all(scenarios: &[Scenario], threads: usize) -> Vec<Result<(), String>> 
 
 /// Runs an atlas: expand → admit (whole grid, any failure is an error) →
 /// sweep the owned cells → classify winners when complete. `base` is the
-/// experiment config every cell perturbs (as in `run_sweep`).
+/// experiment config every cell perturbs (as in `run_sweep`). An
+/// unusable journal path is an error too.
 pub fn run_atlas(
     engine: &Engine,
     base: &ExpConfig,
@@ -247,7 +248,7 @@ pub fn run_atlas(
         journal: opts.journal.clone(),
         shard: opts.shard,
     };
-    let sweep = run_sweep(engine, base, &sweep_opts);
+    let sweep = try_run_sweep(engine, base, &sweep_opts)?;
     let winners = winners_from(&sweep);
     Ok(AtlasResult {
         gen_spec: opts.spec.to_json(),

@@ -51,8 +51,7 @@
 //! pipeline builds and evaluations on stderr.
 
 use preexec_harness::{
-    adapt, atlas, campaign, check_bench, coordinate, experiments, lint, service, verify, Engine,
-    ExpConfig,
+    adapt, atlas, campaign, check_bench, experiments, lint, service, verify, Engine, ExpConfig,
 };
 use preexec_json::dto::check_unit;
 use preexec_json::{jobj, Json, ToJson};
@@ -68,9 +67,6 @@ fn usage() -> ! {
          \x20      repro sweep [common flags] [--points N] [--bench B]... [--mem-latency N]... \
          [--idle-factor F]... [--journal FILE] [--shard I/N] | [--merge FILE]...\n\
          \x20      repro pareto [sweep flags] [--tol F] | [--from FILE]...\n\
-         \x20      repro coordinate [--addr HOST:PORT] [--lease-ms N] [--batch N] \
-         [--points N] [--bench B]... [--mem-latency N]... [--idle-factor F]...\n\
-         \x20      repro work [--addr HOST:PORT] [--poll-ms N] [--journal FILE] [--name S]\n\
          \x20      repro gen [--spec FILE] [--seed N] [--set knob=v1,v2,...]... [--lint | --emit]\n\
          \x20      repro atlas [gen flags] [--points N] [--mem-latency N]... [--idle-factor F]... \
          [--journal FILE] [--shard I/N] | [--merge FILE]...\n\
@@ -182,16 +178,6 @@ const SWEEP_FLAGS: &[&str] = &[
     "--from",
     "--tol",
 ];
-/// The grid flags `repro coordinate` accepts: the sweep's, less merging.
-const COORDINATE_FLAGS: &[&str] = &[
-    "--points",
-    "--bench",
-    "--mem-latency",
-    "--idle-factor",
-    "--journal",
-    "--shard",
-    "--tol",
-];
 /// The grid flags `repro atlas` accepts after the gen-spec flags.
 const ATLAS_FLAGS: &[&str] = &[
     "--points",
@@ -202,8 +188,8 @@ const ATLAS_FLAGS: &[&str] = &[
     "--merge",
 ];
 
-/// The grid flags of `sweep`, `pareto`, `coordinate` and `atlas`, read
-/// by one loop before they are applied to an options struct.
+/// The grid flags of `sweep`, `pareto` and `atlas`, read by one loop
+/// before they are applied to an options struct.
 #[derive(Default)]
 struct GridFlags {
     points: Option<usize>,
@@ -224,38 +210,30 @@ impl GridFlags {
         let mut grid = GridFlags::default();
         let mut flags = Flags::new(args);
         while let Some(flag) = flags.next() {
-            if !grid.take(flag, &mut flags, accepted) {
+            if !accepted.contains(&flag) {
                 usage();
+            }
+            match flag {
+                "--points" => grid.points = Some(flags.value()),
+                "--bench" => {
+                    let bench: String = flags.value();
+                    check_bench(&bench).unwrap_or_else(|e| die(2, format!("repro: {e}")));
+                    grid.benches.push(bench);
+                }
+                "--mem-latency" => grid.mem_latencies.push(flags.value()),
+                "--idle-factor" => {
+                    let factor: f64 = flags.value();
+                    check_unit("repro", "--idle-factor", factor).unwrap_or_else(|e| die(2, e));
+                    grid.idle_factors.push(factor);
+                }
+                "--journal" => grid.journal = Some(flags.value()),
+                "--shard" => grid.shard = Some(flags.with(preexec_campaign::parse_shard)),
+                "--merge" | "--from" => grid.inputs.push(flags.value()),
+                "--tol" => grid.tol = Some(flags.value()),
+                _ => usage(),
             }
         }
         grid
-    }
-
-    /// Applies `flag` when it is one of `accepted`; false otherwise.
-    fn take(&mut self, flag: &str, flags: &mut Flags, accepted: &[&str]) -> bool {
-        if !accepted.contains(&flag) {
-            return false;
-        }
-        match flag {
-            "--points" => self.points = Some(flags.value()),
-            "--bench" => {
-                let bench: String = flags.value();
-                check_bench(&bench).unwrap_or_else(|e| die(2, format!("repro: {e}")));
-                self.benches.push(bench);
-            }
-            "--mem-latency" => self.mem_latencies.push(flags.value()),
-            "--idle-factor" => {
-                let factor: f64 = flags.value();
-                check_unit("repro", "--idle-factor", factor).unwrap_or_else(|e| die(2, e));
-                self.idle_factors.push(factor);
-            }
-            "--journal" => self.journal = Some(flags.value()),
-            "--shard" => self.shard = Some(flags.with(preexec_campaign::parse_shard)),
-            "--merge" | "--from" => self.inputs.push(flags.value()),
-            "--tol" => self.tol = Some(flags.value()),
-            _ => return false,
-        }
-        true
     }
 
     fn sweep_options(&self) -> campaign::SweepOptions {
@@ -315,7 +293,8 @@ fn sweep_or_merge(
 ) -> (campaign::SweepResult, Option<Engine>) {
     if grid.inputs.is_empty() {
         let engine = engine_with_store(progress, store);
-        let result = campaign::run_sweep(&engine, &ExpConfig::default(), &grid.sweep_options());
+        let result = campaign::try_run_sweep(&engine, &ExpConfig::default(), &grid.sweep_options())
+            .unwrap_or_else(|e| die(1, format!("repro: {e}")));
         return (result, Some(engine));
     }
     let parts: Vec<campaign::SweepResult> = grid
@@ -598,92 +577,6 @@ fn run_serve(progress: bool, store: &Option<String>, rest: &[String]) -> ! {
     std::process::exit(0);
 }
 
-/// `repro coordinate`: partition a W-continuum sweep into leased cells
-/// and serve them to `repro work` processes; exits with the merged
-/// sweep on stdout (byte-identical to a single-process `repro sweep`).
-/// The serving banner goes to stderr so stdout stays a pure capture.
-fn run_coordinate(
-    json: bool,
-    metrics: bool,
-    progress: bool,
-    store: &Option<String>,
-    rest: &[String],
-) -> ! {
-    let mut opts = coordinate::CoordinateOptions {
-        progress,
-        store: store.clone(),
-        ..coordinate::CoordinateOptions::default()
-    };
-    // The coordinator's own flags, then the grid vocabulary of
-    // `repro sweep`.
-    let mut grid = GridFlags::default();
-    let mut flags = Flags::new(rest);
-    while let Some(flag) = flags.next() {
-        match flag {
-            "--addr" => opts.addr = flags.value(),
-            "--lease-ms" => opts.lease_ms = flags.value(),
-            "--batch" => opts.batch = flags.value(),
-            "--workers" => opts.workers = flags.value(),
-            _ if grid.take(flag, &mut flags, COORDINATE_FLAGS) => {}
-            _ => usage(),
-        }
-    }
-    opts.opts = grid.sweep_options();
-    let start = Instant::now();
-    let handle = coordinate::coordinate(&opts).unwrap_or_else(|e| {
-        die(
-            1,
-            format!("repro coordinate: cannot bind {}: {e}", opts.addr),
-        )
-    });
-    eprintln!(
-        "{}",
-        jobj! {
-            "coordinating" => format!("{}", handle.addr()),
-            "cells" => campaign::cell_count(&opts.opts) as u64
-        }
-    );
-    let result = handle.wait();
-    handle.shutdown();
-    emit(json, &result);
-    if metrics {
-        println!(
-            "{}",
-            jobj! { "total_wall_ms" => start.elapsed().as_secs_f64() * 1e3 }
-        );
-    }
-    std::process::exit(0);
-}
-
-/// `repro work`: compute leased cells for a running `repro coordinate`
-/// until the sweep completes, then print a work summary.
-fn run_work(json: bool, store: &Option<String>, rest: &[String]) -> ! {
-    let mut opts = coordinate::WorkOptions {
-        store: store.clone(),
-        ..coordinate::WorkOptions::default()
-    };
-    let mut flags = Flags::new(rest);
-    while let Some(flag) = flags.next() {
-        match flag {
-            "--addr" | "--coordinator" => opts.coordinator = flags.value(),
-            "--poll-ms" => opts.poll_ms = flags.value(),
-            "--journal" => opts.journal = Some(flags.value()),
-            "--name" => opts.name = Some(flags.value()),
-            _ => usage(),
-        }
-    }
-    let summary = coordinate::work(&opts).unwrap_or_else(|e| die(1, format!("repro work: {e}")));
-    if json {
-        println!("{}", summary.to_json());
-    } else {
-        println!(
-            "worker {}: {} leases, {} computed, {} replayed, {} duplicates",
-            summary.worker, summary.leases, summary.computed, summary.replayed, summary.duplicates
-        );
-    }
-    std::process::exit(0);
-}
-
 /// `repro loadgen`: closed-loop load against a running `repro serve`.
 /// `--endpoint` may repeat: each named endpoint is exercised in turn
 /// and reported separately (with per-endpoint p50/p95/p99).
@@ -903,8 +796,6 @@ fn main() {
         "verify" => run_verify(json, progress, rest),
         "lint" => run_lint(json, progress, rest),
         "serve" => run_serve(progress, &store, rest),
-        "coordinate" => run_coordinate(json, metrics, progress, &store, rest),
-        "work" => run_work(json, &store, rest),
         "loadgen" => run_loadgen(json, rest),
         _ => {}
     }

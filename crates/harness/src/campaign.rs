@@ -14,9 +14,12 @@
 //!   rest, producing byte-identical output to an uninterrupted run.
 //! - **Shardable** — `--shard i/n` partitions cells round-robin by
 //!   index; [`merge_sweeps`] reassembles shard outputs (in any order)
-//!   into the byte-identical full result.
-//! - **Warm-startable** — with a persistent [`Store`] attached to the
-//!   engine, baseline and optimized timing runs replay from disk.
+//!   into the byte-identical full result. This is the one way to spread
+//!   a sweep across processes or machines: a killed shard reruns with
+//!   its journal, on any box that shares the store.
+//! - **Warm-startable** — with a persistent
+//!   [`Store`](preexec_campaign::Store) attached to the engine, baseline
+//!   and optimized timing runs replay from disk.
 //!
 //! The *Pareto stage* extracts, per benchmark and in aggregate, the
 //! non-dominated (execution-time, energy) frontier across the W sweep
@@ -101,10 +104,9 @@ struct CellSpec {
 }
 
 /// The stable, spec-relative identity of one sweep cell — the journal
-/// key, and the name merge/coordinator errors report. Shard-free and
-/// index-free, so the same cell has the same key no matter which
-/// process computes it.
-pub fn cell_key(bench: &str, mem_latency: u64, idle_factor: f64, w: f64) -> String {
+/// key, and the name merge errors report. Shard-free and index-free, so
+/// the same cell has the same key no matter which process computes it.
+fn cell_key(bench: &str, mem_latency: u64, idle_factor: f64, w: f64) -> String {
     format!("{bench}|ml{mem_latency}|if{idle_factor}|w{w}")
 }
 
@@ -169,8 +171,9 @@ impl_json_object!(SweepCell {
 } decode);
 
 impl SweepCell {
-    /// This cell's stable identity (see [`cell_key`]).
-    pub fn key(&self) -> String {
+    /// This cell's stable, shard-free identity: its journal key, and
+    /// the name merge errors report.
+    fn key(&self) -> String {
         cell_key(&self.bench, self.mem_latency, self.idle_factor, self.w)
     }
 }
@@ -256,7 +259,7 @@ impl fmt::Display for SweepResult {
 /// The shard-free spec echo embedded in every sweep output. Shard
 /// outputs of one spec are byte-identical here, which is what lets
 /// [`merge_sweeps`] verify they belong together.
-pub fn spec_json(opts: &SweepOptions) -> Json {
+fn spec_json(opts: &SweepOptions) -> Json {
     Json::object()
         .with("model_version", MODEL_VERSION as u64)
         .with("benches", opts.benches.clone())
@@ -264,66 +267,6 @@ pub fn spec_json(opts: &SweepOptions) -> Json {
         .with("w_grid", w_grid(opts.points))
         .with("mem_latencies", opts.mem_latencies.clone())
         .with("idle_factors", opts.idle_factors.clone())
-}
-
-/// Rebuilds [`SweepOptions`] from a spec echo — the inverse of
-/// [`spec_json`] — so a worker handed a spec over the wire expands
-/// exactly the cells the coordinator partitioned. Rejects model-version
-/// skew and any spec this binary would not re-echo byte-identically
-/// (e.g. a `w_grid` a different `points` policy generated): a worker
-/// that cannot reproduce the spec bit-exactly must not compute cells
-/// for it.
-pub fn options_from_spec(spec: &Json) -> Result<SweepOptions, String> {
-    let mv = spec
-        .get("model_version")
-        .and_then(Json::as_u64)
-        .ok_or("spec: missing \"model_version\"")?;
-    if mv != MODEL_VERSION as u64 {
-        return Err(format!(
-            "spec: model version {mv} != this binary's {MODEL_VERSION}"
-        ));
-    }
-    let arr = |k: &str| {
-        spec.get(k)
-            .and_then(Json::as_array)
-            .ok_or_else(|| format!("spec: missing array {k:?}"))
-    };
-    let benches = arr("benches")?
-        .iter()
-        .map(|v| v.as_str().map(str::to_string))
-        .collect::<Option<Vec<_>>>()
-        .ok_or("spec: \"benches\" must be strings")?;
-    let points = spec
-        .get("points")
-        .and_then(Json::as_u64)
-        .ok_or("spec: missing \"points\"")? as usize;
-    let mem_latencies = arr("mem_latencies")?
-        .iter()
-        .map(Json::as_u64)
-        .collect::<Option<Vec<_>>>()
-        .ok_or("spec: \"mem_latencies\" must be unsigned integers")?;
-    let idle_factors = arr("idle_factors")?
-        .iter()
-        .map(Json::as_f64)
-        .collect::<Option<Vec<_>>>()
-        .ok_or("spec: \"idle_factors\" must be numbers")?;
-    let opts = SweepOptions {
-        benches,
-        points,
-        mem_latencies,
-        idle_factors,
-        journal: None,
-        shard: (0, 1),
-    };
-    let echo = spec_json(&opts);
-    if echo.to_string() != spec.to_string() {
-        return Err(format!(
-            "spec: not this binary's canonical echo (content {} != {})",
-            content_hash(&spec.to_string()),
-            content_hash(&echo.to_string()),
-        ));
-    }
-    Ok(opts)
 }
 
 /// Total cells `opts` expands to, without allocating the expansion.
@@ -337,7 +280,7 @@ pub fn cell_count(opts: &SweepOptions) -> usize {
 /// The persistent-store key a *complete* sweep result is filed under:
 /// content-addressed by the spec echo, version-prefixed like every
 /// other store key so a model bump invalidates it.
-pub fn sweep_store_key(spec: &Json) -> String {
+fn sweep_store_key(spec: &Json) -> String {
     versioned(MODEL_VERSION, &format!("sweep|{spec}"))
 }
 
@@ -372,62 +315,55 @@ type CellGroup = ((String, u64, u64), Vec<(usize, CellSpec)>);
 /// Runs (this shard of) the sweep on `engine`. Completed cells are
 /// journaled as they finish; cells already journaled under the same
 /// spec are replayed without touching the engine. A complete result is
-/// filed in the engine's persistent store (see [`save_sweep`]).
+/// filed in the engine's persistent store, keyed by its spec. Panics if
+/// the journal cannot be opened; [`try_run_sweep`] returns that as an
+/// error instead.
 pub fn run_sweep(engine: &Engine, base: &ExpConfig, opts: &SweepOptions) -> SweepResult {
+    try_run_sweep(engine, base, opts).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`run_sweep`], with an unusable journal path as an error that names
+/// the path.
+pub fn try_run_sweep(
+    engine: &Engine,
+    base: &ExpConfig,
+    opts: &SweepOptions,
+) -> Result<SweepResult, String> {
     let spec = spec_json(opts);
-    let (shard, of) = opts.shard;
-    let indices: Vec<u64> = (0..cell_count(opts) as u64)
-        .filter(|&i| owns_cell(i as usize, shard, of))
-        .collect();
-    let journal = opts
-        .journal
-        .as_ref()
-        .map(|p| Journal::open(p, &spec.to_string()).expect("campaign journal"));
-    let (cells, replayed) = evaluate_cells(engine, base, opts, &indices, journal.as_ref())
-        .expect("owned indices lie inside the spec");
+    let journal = match &opts.journal {
+        Some(path) => Some(
+            Journal::open(path, &spec.to_string())
+                .map_err(|e| format!("journal {}: {e}", path.display()))?,
+        ),
+        None => None,
+    };
+    let (cells, replayed) = evaluate(engine, base, opts, journal.as_ref());
     let result = SweepResult {
         spec,
         cells,
         replayed,
     };
-    save_sweep(engine, &result);
-    result
-}
-
-/// Files a *complete* sweep result in the engine's persistent store (if
-/// one is attached) under [`sweep_store_key`]. Partial shards are never
-/// filed — only a full result, whether it came from one process or from
-/// a coordinator's merge, and both file byte-identical values.
-pub fn save_sweep(engine: &Engine, result: &SweepResult) {
     if result.complete() {
         if let Some(store) = engine.store() {
             store.save(&sweep_store_key(&result.spec), &result.to_json());
         }
     }
+    Ok(result)
 }
 
-/// Evaluates the given spec cells (by expansion index, any order) on
-/// `engine`, returning them in `indices` order plus the journal-replay
-/// count. This is the one compute path shared by single-process sweeps
-/// ([`run_sweep`]) and coordinator workers (`coordinate::work`), which
-/// is what makes distributed results byte-identical to local ones.
-/// Errors if an index lies outside the spec's expansion.
-pub fn evaluate_cells(
+/// Evaluates the cells of `opts` that its shard owns on `engine`, in
+/// expansion order, plus the journal-replay count.
+fn evaluate(
     engine: &Engine,
     base: &ExpConfig,
     opts: &SweepOptions,
-    indices: &[u64],
     journal: Option<&Journal>,
-) -> Result<(Vec<SweepCell>, usize), String> {
-    let all = expand(opts);
-    let owned = indices
-        .iter()
-        .map(|&i| {
-            all.get(i as usize)
-                .cloned()
-                .ok_or_else(|| format!("cell index {i} outside the spec ({} cells)", all.len()))
-        })
-        .collect::<Result<Vec<CellSpec>, String>>()?;
+) -> (Vec<SweepCell>, usize) {
+    let (shard, of) = opts.shard;
+    let owned: Vec<CellSpec> = expand(opts)
+        .into_iter()
+        .filter(|c| owns_cell(c.index, shard, of))
+        .collect();
 
     let mut replayed = 0usize;
     let mut todo = Vec::new();
@@ -435,7 +371,7 @@ pub fn evaluate_cells(
     // engine below.
     let mut values: Vec<Option<Json>> = vec![None; owned.len()];
     for (slot, cell) in owned.iter().enumerate() {
-        match journal.as_ref().and_then(|j| j.get(&cell.id())) {
+        match journal.and_then(|j| j.get(&cell.id())) {
             Some(v) => {
                 values[slot] = Some(v);
                 replayed += 1;
@@ -510,7 +446,7 @@ pub fn evaluate_cells(
         .into_iter()
         .map(|v| SweepCell::from_json(&v.expect("every owned cell resolved")).expect("cell shape"))
         .collect();
-    Ok((cells, replayed))
+    (cells, replayed)
 }
 
 /// The [`cell_key`] of expansion position `idx` under `spec`, derived
@@ -1002,6 +938,7 @@ mod tests {
         let cells = expand(&opts);
         let ws = w_grid(3);
         assert_eq!(cells.len(), 2 * 2 * ws.len());
+        assert_eq!(cell_count(&opts), cells.len());
         assert!(cells.iter().enumerate().all(|(i, c)| c.index == i));
         assert_eq!(cells[0].bench, "gap");
         assert_eq!(cells[0].mem_latency, 200);
@@ -1120,43 +1057,6 @@ mod tests {
             err.contains(&content_hash(&spec_json(&opts).to_string())),
             "{err}"
         );
-    }
-
-    #[test]
-    fn spec_round_trips_through_options_and_counts_cells() {
-        let opts = SweepOptions {
-            benches: vec!["gap".into(), "mcf".into()],
-            points: 5,
-            mem_latencies: vec![200, 300],
-            idle_factors: vec![0.05],
-            ..SweepOptions::default()
-        };
-        let spec = spec_json(&opts);
-        let back = options_from_spec(&spec).unwrap();
-        assert_eq!(spec_json(&back).to_string(), spec.to_string());
-        assert_eq!(cell_count(&back), expand(&opts).len());
-        assert_eq!(back.shard, (0, 1));
-        assert!(back.journal.is_none());
-
-        // Model-version skew is refused.
-        let rebuild = |mv: u64, ws: Vec<f64>| {
-            Json::object()
-                .with("model_version", mv)
-                .with("benches", opts.benches.clone())
-                .with("points", opts.points as u64)
-                .with("w_grid", ws)
-                .with("mem_latencies", opts.mem_latencies.clone())
-                .with("idle_factors", opts.idle_factors.clone())
-        };
-        let skewed = rebuild(MODEL_VERSION as u64 + 1, w_grid(opts.points));
-        assert!(options_from_spec(&skewed)
-            .unwrap_err()
-            .contains("model version"));
-        // A tampered w_grid (not this binary's echo) is refused.
-        let tampered = rebuild(MODEL_VERSION as u64, vec![0.0, 1.0]);
-        assert!(options_from_spec(&tampered)
-            .unwrap_err()
-            .contains("canonical"));
     }
 
     #[test]

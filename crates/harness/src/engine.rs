@@ -192,13 +192,15 @@ impl Engine {
 
     /// Probes the persistent store for a simulation report. Counts a
     /// store hit/miss per probe; no-ops (with no counter traffic) when
-    /// the engine has no store attached.
+    /// the engine has no store attached. An entry that does not decode
+    /// as a whole report is a miss (and corrupt in the store's
+    /// counters), so the caller recomputes and overwrites it.
     fn store_load_report(&self, key: &str) -> Option<SimReport> {
         let store = self.store.as_ref()?;
-        match store.load(key) {
-            Some(j) => {
+        match store.load_as(key, SimReport::from_json) {
+            Some(report) => {
                 self.metrics.add_store_hit();
-                Some(SimReport::from_json(&j))
+                Some(report)
             }
             None => {
                 self.metrics.add_store_miss();

@@ -22,7 +22,6 @@ pub mod adapt;
 pub mod atlas;
 pub mod campaign;
 mod chart;
-pub mod coordinate;
 mod engine;
 pub mod experiments;
 pub mod lint;

@@ -53,12 +53,8 @@ use std::sync::Arc;
 
 /// Decodes a request body with a strict DTO decoder (`T::from_json`), or
 /// produces the 400. An empty body reads as `{}`: every POST endpoint
-/// treats "no body" as "all defaults". Shared by the engine service and
-/// the coordinator endpoints (`crate::coordinate`).
-pub(crate) fn decode_body<T>(
-    req: &Request,
-    decode: fn(&Json) -> Result<T, String>,
-) -> Result<T, Response> {
+/// treats "no body" as "all defaults".
+fn decode_body<T>(req: &Request, decode: fn(&Json) -> Result<T, String>) -> Result<T, Response> {
     let body = req
         .body_str()
         .map_err(|e| Response::error(400, &format!("body is not utf-8: {e}")))?;

@@ -1,7 +1,8 @@
 //! Exit-code contract of the `repro` binary: a malformed or foreign flag
-//! on any subcommand is a usage error (exit 2) caught before any work
-//! starts, an unreadable or foreign capture is a failure (exit 1), and
-//! cheap well-formed invocations succeed (exit 0).
+//! on any subcommand, or an unknown subcommand, is a usage error (exit 2)
+//! caught before any work starts; an unreadable or foreign capture, or
+//! an unusable journal path, is a failure (exit 1); and cheap
+//! well-formed invocations succeed (exit 0).
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -60,12 +61,8 @@ fn malformed_and_foreign_flags_are_usage_errors() {
         &["serve", "--workers", "x"],
         &["serve", "--deadline-ms", "soon"],
         &["serve", "--points", "5"],
-        &["coordinate", "--lease-ms", "x"],
-        &["coordinate", "--batch", "x"],
-        &["coordinate", "--points", "x"],
-        &["coordinate", "--merge", "a.json"],
-        &["work", "--poll-ms", "x"],
-        &["work", "--bench", "gap"],
+        &["coordinate", "--addr", "not-an-address"],
+        &["work", "--addr", "127.0.0.1:1"],
         &["loadgen", "--conns", "x"],
         &["loadgen", "--endpoint", "nope"],
         &["loadgen", "--body-file", "/nonexistent/body.json"],
@@ -78,7 +75,20 @@ fn malformed_and_foreign_flags_are_usage_errors() {
 #[test]
 fn unreadable_or_foreign_captures_are_failures() {
     let garbage = scratch_file("cli-garbage.json", "{\"neither\":1}\n");
+    // A directory is no journal: a clean failure naming the path, not a
+    // panic.
+    let dir = env!("CARGO_TARGET_TMPDIR");
     let cases: &[&[&str]] = &[
+        &["sweep", "--bench", "gap", "--points", "2", "--journal", dir],
+        &[
+            "atlas",
+            "--seed",
+            "7",
+            "--set",
+            "footprint=65536",
+            "--journal",
+            dir,
+        ],
         &["sweep", "--merge", "/nonexistent/sweep.json"],
         &["sweep", "--merge", &garbage],
         &["pareto", "--from", &garbage],
@@ -88,6 +98,17 @@ fn unreadable_or_foreign_captures_are_failures() {
     ];
     for argv in cases {
         assert_eq!(repro(argv), 1, "repro {argv:?} must fail");
+    }
+    for argv in &cases[..2] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(*argv)
+            .output()
+            .expect("spawn repro");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(dir),
+            "repro {argv:?} must name {dir}: {stderr}"
+        );
     }
 }
 

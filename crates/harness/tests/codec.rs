@@ -5,16 +5,16 @@
 //! targets, bounded `points`, non-empty grids, `W` and idle factors in
 //! `[0, 1]`), and strings carry the characters the writer must escape.
 
+use preexec_energy::AccessCounts;
 use preexec_harness::atlas::{AdmissionSummary, AtlasResult, AtlasWinner};
 use preexec_harness::campaign::{SweepCell, SweepResult};
 use preexec_json::dto::{
-    AdaptRequest, AtlasRequest, CampaignRequest, CompleteRequest, CompleteResponse, EvalRequest,
-    ExperimentRequest, HeartbeatResponse, LeaseResponse, PThreadSummary, RegisterRequest,
-    RegisterResponse, SelectResponse, SimResponse, WorkerRequest, EXPERIMENT_IDS, OBJECTIVE_NAMES,
-    TARGET_NAMES,
+    AdaptRequest, AtlasRequest, CampaignRequest, EvalRequest, ExperimentRequest, PThreadSummary,
+    SelectResponse, SimResponse, EXPERIMENT_IDS, OBJECTIVE_NAMES, TARGET_NAMES,
 };
 use preexec_json::{jobj, parse, Json, ToJson};
 use preexec_prop::{run_cases, Gen};
+use preexec_sim::SimReport;
 use std::fmt::Debug;
 
 fn round_trips<T: ToJson + PartialEq + Debug>(x: &T, decode: fn(&Json) -> Result<T, String>) {
@@ -192,60 +192,42 @@ fn every_decoded_type_reads_back_its_written_form() {
             },
             SimResponse::from_json,
         );
+        let n = |g: &mut Gen| g.u64(0, u64::MAX);
+        let counts = AccessCounts {
+            imem_main: n(g),
+            imem_pth: n(g),
+            dmem_main: n(g),
+            dmem_pth: n(g),
+            l2_main: n(g),
+            l2_pth: n(g),
+            dispatch_main: n(g),
+            dispatch_pth: n(g),
+            alu_main: n(g),
+            alu_pth: n(g),
+            rob_bpred: n(g),
+        };
+        round_trips(&counts, AccessCounts::from_json);
         round_trips(
-            &RegisterRequest {
-                name: opt(g, string),
+            &SimReport {
+                cycles: n(g),
+                committed: n(g),
+                pinsts: n(g),
+                spawns: n(g),
+                spawns_dropped: n(g),
+                spawns_wrong_path: n(g),
+                l2_misses_demand: n(g),
+                covered_full: n(g),
+                covered_partial: n(g),
+                mispredicts: n(g),
+                branches: n(g),
+                hints_used: n(g),
+                hints_correct: n(g),
+                max_pthread_pregs: n(g),
+                counts,
+                finished: g.bool(),
+                wall_nanos: 0,
             },
-            RegisterRequest::from_json,
-        );
-        round_trips(
-            &RegisterResponse {
-                worker: g.u64(0, u64::MAX),
-                model_version: string(g),
-                lease_ms: g.u64(0, u64::MAX),
-                batch: g.u64(0, 64),
-                spec: opaque(g),
-            },
-            RegisterResponse::from_json,
-        );
-        round_trips(
-            &WorkerRequest {
-                worker: g.u64(0, u64::MAX),
-            },
-            WorkerRequest::from_json,
-        );
-        round_trips(
-            &LeaseResponse {
-                lease: opt(g, |g| g.u64(0, u64::MAX)),
-                cells: g.vec(0, 5, |g| g.u64(0, 1 << 40)),
-                deadline_ms: opt(g, |g| g.u64(0, u64::MAX)),
-                sweep_done: g.bool(),
-            },
-            LeaseResponse::from_json,
-        );
-        round_trips(
-            &HeartbeatResponse {
-                live: g.u64(0, 64),
-                sweep_done: g.bool(),
-            },
-            HeartbeatResponse::from_json,
-        );
-        round_trips(
-            &CompleteRequest {
-                worker: g.u64(0, u64::MAX),
-                cells: g.vec(1, 4, opaque),
-            },
-            CompleteRequest::from_json,
-        );
-        round_trips(
-            &CompleteResponse {
-                accepted: g.u64(0, 1000),
-                duplicates: g.u64(0, 1000),
-                late: g.u64(0, 1000),
-                done: g.u64(0, 1000),
-                total: g.u64(0, 1000),
-            },
-            CompleteResponse::from_json,
+            SimReport::from_json,
         );
         round_trips(&sweep_cell(g), SweepCell::from_json);
         round_trips(&sweep_result(g), SweepResult::from_json);

@@ -397,146 +397,6 @@ crate::impl_json_object!(SimResponse {
     report,
 } decode);
 
-/// Body of `POST /v1/workers`: a worker announcing itself to the
-/// coordinator. `{}` is a nameless worker.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RegisterRequest {
-    /// Optional human-readable worker name (shown in progress events).
-    pub name: Option<String>,
-}
-
-crate::impl_json_object!(RegisterRequest { name } decode);
-
-/// Response to `POST /v1/workers`: the worker's identity plus everything
-/// it needs to compute cells compatibly — the model version to refuse
-/// skew against, the lease/heartbeat contract, and the sweep spec.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RegisterResponse {
-    /// Assigned worker id; present in every later request.
-    pub worker: u64,
-    /// The coordinator's `MODEL_VERSION`. Workers must refuse to compute
-    /// under a different version — a version-skewed value would be
-    /// rejected as a conflicting completion anyway.
-    pub model_version: String,
-    /// Lease time-to-live in milliseconds; heartbeat well within this.
-    pub lease_ms: u64,
-    /// Maximum cells granted per lease.
-    pub batch: u64,
-    /// The sweep spec (same shape as a `repro sweep` spec line),
-    /// passed through opaquely.
-    pub spec: Json,
-}
-
-crate::impl_json_object!(RegisterResponse {
-    worker,
-    model_version,
-    lease_ms,
-    batch,
-    spec,
-} decode);
-
-/// Body of `POST /v1/lease` and `POST /v1/heartbeat`: just the worker
-/// id.
-#[derive(Clone, Debug, PartialEq)]
-pub struct WorkerRequest {
-    /// The id assigned at registration.
-    pub worker: u64,
-}
-
-crate::impl_json_object!(WorkerRequest { worker } decode);
-
-/// Response to `POST /v1/lease`. Exactly one of three shapes:
-/// a grant (`lease`/`deadline_ms` set, `cells` non-empty), "poll again"
-/// (`lease` null, `cells` empty, `sweep_done` false — everything pending
-/// is leased to someone else), or "go home" (`sweep_done` true).
-#[derive(Clone, Debug, PartialEq)]
-pub struct LeaseResponse {
-    /// Granted lease id, or `null` when nothing is available.
-    pub lease: Option<u64>,
-    /// The granted cell indices (ascending), empty when no grant.
-    pub cells: Vec<u64>,
-    /// Coordinator-clock expiry of the grant, milliseconds since the
-    /// sweep started; `null` when no grant.
-    pub deadline_ms: Option<u64>,
-    /// Whether every cell of the sweep is complete.
-    pub sweep_done: bool,
-}
-
-crate::impl_json_object!(LeaseResponse {
-    lease,
-    cells,
-    deadline_ms,
-    sweep_done,
-} decode);
-
-/// Response to `POST /v1/heartbeat`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct HeartbeatResponse {
-    /// Live leases the worker still holds after the extension. Zero
-    /// tells a stalled worker its leases expired — in-flight results
-    /// will land as late completions.
-    pub live: u64,
-    /// Whether every cell of the sweep is complete.
-    pub sweep_done: bool,
-}
-
-crate::impl_json_object!(HeartbeatResponse { live, sweep_done } decode);
-
-/// Body of `POST /v1/complete`: computed cell values. Each element is an
-/// opaque sweep-cell object (the coordinator canonicalizes and
-/// content-addresses it; it does not interpret the fields beyond
-/// `index`).
-#[derive(Clone, Debug, PartialEq)]
-pub struct CompleteRequest {
-    /// The completing worker's id.
-    pub worker: u64,
-    /// Completed cell objects, each carrying its `index`.
-    pub cells: Vec<Json>,
-}
-
-crate::impl_json_object!(CompleteRequest { worker, cells } decode, check = CompleteRequest::check);
-
-impl CompleteRequest {
-    /// Cell objects stay opaque, but `cells` is a non-empty array of
-    /// objects.
-    fn check(&self) -> Result<(), String> {
-        let what = "CompleteRequest";
-        if !self.cells.iter().all(|c| matches!(c, Json::Object(_))) {
-            return Err(format!(
-                "{what}: field \"cells\" must be an array of objects"
-            ));
-        }
-        if self.cells.is_empty() {
-            return Err(format!("{what}: field \"cells\" must not be empty"));
-        }
-        Ok(())
-    }
-}
-
-/// Response to `POST /v1/complete`: what happened to the batch plus
-/// overall sweep progress.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CompleteResponse {
-    /// Cells whose value was recorded by this request.
-    pub accepted: u64,
-    /// Cells that were already done with identical bytes.
-    pub duplicates: u64,
-    /// Accepted cells whose lease had already expired.
-    pub late: u64,
-    /// Total cells done across the sweep.
-    pub done: u64,
-    /// Total cells in the sweep.
-    pub total: u64,
-}
-
-crate::impl_json_object!(CompleteResponse {
-    accepted,
-    duplicates,
-    late,
-    done,
-    total,
-} decode);
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -724,86 +584,6 @@ mod tests {
         assert!(AtlasRequest::from_json(&bad)
             .unwrap_err()
             .contains("[0, 1]"));
-    }
-
-    #[test]
-    fn coordinator_dtos_round_trip_and_stay_strict() {
-        // Register: {} is a nameless worker; unknown fields are 400s.
-        let r = RegisterRequest::from_json(&parse("{}").unwrap()).unwrap();
-        assert_eq!(r.name, None);
-        assert!(
-            RegisterRequest::from_json(&parse(r#"{"nom":"w1"}"#).unwrap())
-                .unwrap_err()
-                .contains("nom")
-        );
-
-        let reg = RegisterResponse {
-            worker: 3,
-            model_version: "v6".into(),
-            lease_ms: 30_000,
-            batch: 4,
-            spec: parse(r#"{"benches":["gap"],"points":5}"#).unwrap(),
-        };
-        let back =
-            RegisterResponse::from_json(&parse(&reg.to_json().to_string()).unwrap()).unwrap();
-        assert_eq!(reg, back);
-
-        // Lease: the no-grant shape keeps cells as an *empty* array.
-        let idle = LeaseResponse {
-            lease: None,
-            cells: vec![],
-            deadline_ms: None,
-            sweep_done: false,
-        };
-        let j = parse(&idle.to_json().to_string()).unwrap();
-        assert_eq!(LeaseResponse::from_json(&j).unwrap(), idle);
-        let grant = LeaseResponse {
-            lease: Some(9),
-            cells: vec![4, 5, 6],
-            deadline_ms: Some(1234),
-            sweep_done: false,
-        };
-        let j = parse(&grant.to_json().to_string()).unwrap();
-        assert_eq!(LeaseResponse::from_json(&j).unwrap(), grant);
-        assert!(
-            LeaseResponse::from_json(&parse(r#"{"lease":null}"#).unwrap())
-                .unwrap_err()
-                .contains("cells")
-        );
-
-        // Complete: cells are opaque objects, but never empty.
-        let req = CompleteRequest::from_json(
-            &parse(r#"{"worker":3,"cells":[{"index":0,"w":0.5}]}"#).unwrap(),
-        )
-        .unwrap();
-        assert_eq!(req.worker, 3);
-        assert_eq!(req.cells.len(), 1);
-        assert!(
-            CompleteRequest::from_json(&parse(r#"{"worker":3,"cells":[]}"#).unwrap())
-                .unwrap_err()
-                .contains("empty")
-        );
-        assert!(
-            CompleteRequest::from_json(&parse(r#"{"worker":3,"cells":[1]}"#).unwrap())
-                .unwrap_err()
-                .contains("objects")
-        );
-
-        let resp = CompleteResponse {
-            accepted: 2,
-            duplicates: 1,
-            late: 1,
-            done: 7,
-            total: 35,
-        };
-        let j = parse(&resp.to_json().to_string()).unwrap();
-        assert_eq!(CompleteResponse::from_json(&j).unwrap(), resp);
-        let hb = HeartbeatResponse {
-            live: 0,
-            sweep_done: true,
-        };
-        let j = parse(&hb.to_json().to_string()).unwrap();
-        assert_eq!(HeartbeatResponse::from_json(&j).unwrap(), hb);
     }
 
     #[test]

@@ -309,27 +309,6 @@ pub fn read_response(r: &mut impl BufRead) -> Result<Response, String> {
     })
 }
 
-/// Client side: one request/response exchange on a fresh connection —
-/// the convenience client behind coordinator workers, the cluster
-/// tests, and anything else that doesn't need keep-alive throughput.
-pub fn call(addr: &str, method: &str, path: &str, body: &str) -> Result<Response, String> {
-    let stream = std::net::TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    stream.set_nodelay(true).ok();
-    let mut writer = stream
-        .try_clone()
-        .map_err(|e| format!("clone stream: {e}"))?;
-    write_request(
-        &mut writer,
-        method,
-        path,
-        &[("connection".to_string(), "close".to_string())],
-        body.as_bytes(),
-    )
-    .map_err(|e| format!("write {method} {path}: {e}"))?;
-    let mut reader = io::BufReader::new(stream);
-    read_response(&mut reader).map_err(|e| format!("read {method} {path}: {e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

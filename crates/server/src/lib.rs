@@ -33,7 +33,7 @@ pub mod queue;
 pub mod server;
 
 pub use bus::Bus;
-pub use http::{call, Request, Response};
+pub use http::{Request, Response};
 pub use loadgen::{LoadgenConfig, LoadgenReport};
 pub use metrics::ServerMetrics;
 pub use server::{start, start_with_bus, Route, ServerConfig, ServerCtx, ServerHandle, Service};

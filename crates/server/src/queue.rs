@@ -5,8 +5,8 @@
 //! bound.
 
 use std::collections::VecDeque;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
 
 /// A unit of queued work.
 pub type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -51,7 +51,7 @@ impl WorkQueue {
     }
 
     /// Blocks for the next job. `None` means the queue was closed and has
-    /// fully drained — the worker should exit.
+    /// fully drained — the worker is done with it.
     pub fn pop(&self) -> Option<Job> {
         let mut s = self.state.lock().unwrap();
         loop {
@@ -83,34 +83,79 @@ impl WorkQueue {
     }
 }
 
+/// One pool's claim on a worker thread: the queue to drain, and where
+/// to report once it has drained.
+struct Shift {
+    queue: Arc<WorkQueue>,
+    done: Sender<()>,
+}
+
+/// Worker threads of joined pools, parked until a later pool takes them.
+///
+/// Handlers do most of a server's allocating, on its workers, and the
+/// allocator keeps what a thread frees in that thread's arena. A later
+/// server on the same threads reuses that memory. On fresh threads it
+/// may be handed other arenas and grow a working set of its own, so a
+/// process that starts server after server would hold one per server.
+static PARKED: Mutex<Vec<Sender<Shift>>> = Mutex::new(Vec::new());
+
+/// Drains shift after shift for the life of the process (or until a job
+/// panics outside the server's `catch_unwind`, which ends the thread).
+fn work(mut shift: Shift) {
+    loop {
+        while let Some(job) = shift.queue.pop() {
+            job();
+        }
+        // Parked before reporting done, so a pool started right after
+        // `join` returns finds this thread.
+        let (next, wait) = channel();
+        PARKED.lock().unwrap_or_else(|e| e.into_inner()).push(next);
+        let _ = shift.done.send(());
+        let Ok(next) = wait.recv() else { return };
+        shift = next;
+    }
+}
+
 /// A fixed set of worker threads draining one [`WorkQueue`].
 pub struct WorkerPool {
-    handles: Vec<JoinHandle<()>>,
+    done: Vec<Receiver<()>>,
 }
 
 impl WorkerPool {
-    /// Spawns `n` workers on `queue`.
+    /// Puts `n` workers on `queue`: parked threads of joined pools first,
+    /// then new ones.
     pub fn start(n: usize, queue: Arc<WorkQueue>) -> WorkerPool {
-        let handles = (0..n.max(1))
+        let done = (0..n.max(1))
             .map(|i| {
-                let queue = queue.clone();
-                std::thread::Builder::new()
-                    .name(format!("preexec-worker-{i}"))
-                    .spawn(move || {
-                        while let Some(job) = queue.pop() {
-                            job();
-                        }
-                    })
-                    .expect("spawn worker")
+                let (tx, rx) = channel();
+                let shift = Shift {
+                    queue: queue.clone(),
+                    done: tx,
+                };
+                let parked = PARKED.lock().unwrap_or_else(|e| e.into_inner()).pop();
+                match parked {
+                    Some(worker) => worker
+                        .send(shift)
+                        .expect("a parked worker waits for its next shift"),
+                    None => {
+                        std::thread::Builder::new()
+                            .name(format!("preexec-worker-{i}"))
+                            .spawn(move || work(shift))
+                            .expect("spawn worker");
+                    }
+                }
+                rx
             })
             .collect();
-        WorkerPool { handles }
+        WorkerPool { done }
     }
 
-    /// Waits for every worker to exit (requires the queue to be closed).
+    /// Waits for every worker to finish its last job (requires the queue
+    /// to be closed). The threads stay parked for the next pool.
     pub fn join(self) {
-        for h in self.handles {
-            let _ = h.join();
+        for rx in self.done {
+            // An error means the worker ended instead; it is done too.
+            let _ = rx.recv();
         }
     }
 }
@@ -130,7 +175,7 @@ mod tests {
     }
 
     #[test]
-    fn workers_drain_queue_then_exit_on_close() {
+    fn workers_drain_queue_on_close() {
         let q = Arc::new(WorkQueue::new(64));
         let ran = Arc::new(AtomicUsize::new(0));
         for _ in 0..10 {
@@ -146,5 +191,29 @@ mod tests {
         pool.join();
         assert_eq!(ran.load(Ordering::SeqCst), 10, "queued jobs drain on close");
         assert!(q.try_push(Box::new(|| {})).is_err(), "closed queue rejects");
+    }
+
+    #[test]
+    fn later_pools_run_on_the_threads_of_joined_ones() {
+        const POOLS: usize = 20;
+        let ids = Arc::new(Mutex::new(std::collections::HashSet::new()));
+        for _ in 0..POOLS {
+            let q = Arc::new(WorkQueue::new(64));
+            let pool = WorkerPool::start(2, q.clone());
+            for _ in 0..5 {
+                let ids = ids.clone();
+                q.try_push(Box::new(move || {
+                    ids.lock().unwrap().insert(std::thread::current().id());
+                }))
+                .map_err(|_| ())
+                .unwrap();
+            }
+            q.close();
+            pool.join();
+        }
+        // Fresh threads per pool would show at least one id per pool;
+        // other tests may take a parked thread now and then.
+        let distinct = ids.lock().unwrap().len();
+        assert!(distinct < POOLS, "{distinct} threads ran {POOLS} pools");
     }
 }

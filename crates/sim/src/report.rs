@@ -1,12 +1,12 @@
 //! Simulation results.
 
 use preexec_energy::{AccessCounts, EnergyBreakdown, EnergyConfig};
-use preexec_json::{Json, ToJson};
+use preexec_json::impl_json_object;
 
 /// Everything a run of the timing simulator produces: cycle count,
 /// architectural progress, pre-execution diagnostics, structure-access
 /// counts, and predictor accuracy.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SimReport {
     /// Simulated cycles until the program's `halt` committed.
     pub cycles: u64,
@@ -98,64 +98,32 @@ impl SimReport {
     pub fn ed2(&self, cfg: &EnergyConfig) -> f64 {
         self.ed(cfg) * self.cycles as f64
     }
-
-    /// Rebuilds a report from its JSON form. Missing numeric fields read
-    /// as 0 and `finished` as `false`; `wall_nanos` is never serialized
-    /// and always reads back 0.
-    pub fn from_json(j: &Json) -> SimReport {
-        let g = |k: &str| j.get(k).and_then(Json::as_u64).unwrap_or(0);
-        SimReport {
-            cycles: g("cycles"),
-            committed: g("committed"),
-            pinsts: g("pinsts"),
-            spawns: g("spawns"),
-            spawns_dropped: g("spawns_dropped"),
-            spawns_wrong_path: g("spawns_wrong_path"),
-            l2_misses_demand: g("l2_misses_demand"),
-            covered_full: g("covered_full"),
-            covered_partial: g("covered_partial"),
-            mispredicts: g("mispredicts"),
-            branches: g("branches"),
-            hints_used: g("hints_used"),
-            hints_correct: g("hints_correct"),
-            max_pthread_pregs: g("max_pthread_pregs"),
-            counts: j
-                .get("counts")
-                .map(AccessCounts::from_json)
-                .unwrap_or_default(),
-            finished: j.get("finished").and_then(Json::as_bool).unwrap_or(false),
-            wall_nanos: 0,
-        }
-    }
 }
 
-impl ToJson for SimReport {
-    /// Every deterministic simulated quantity, in declaration order;
-    /// `wall_nanos` is deliberately omitted (see its field docs).
-    fn to_json(&self) -> Json {
-        Json::object()
-            .with("cycles", self.cycles)
-            .with("committed", self.committed)
-            .with("pinsts", self.pinsts)
-            .with("spawns", self.spawns)
-            .with("spawns_dropped", self.spawns_dropped)
-            .with("spawns_wrong_path", self.spawns_wrong_path)
-            .with("l2_misses_demand", self.l2_misses_demand)
-            .with("covered_full", self.covered_full)
-            .with("covered_partial", self.covered_partial)
-            .with("mispredicts", self.mispredicts)
-            .with("branches", self.branches)
-            .with("hints_used", self.hints_used)
-            .with("hints_correct", self.hints_correct)
-            .with("max_pthread_pregs", self.max_pthread_pregs)
-            .with("counts", self.counts)
-            .with("finished", self.finished)
-    }
-}
+// `wall_nanos` stays off the wire (see its field docs) and decodes as 0.
+impl_json_object!(SimReport {
+    cycles,
+    committed,
+    pinsts,
+    spawns,
+    spawns_dropped,
+    spawns_wrong_path,
+    l2_misses_demand,
+    covered_full,
+    covered_partial,
+    mispredicts,
+    branches,
+    hints_used,
+    hints_correct,
+    max_pthread_pregs,
+    counts,
+    finished,
+} decode, local = wall_nanos);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use preexec_json::ToJson;
 
     fn report() -> SimReport {
         SimReport {
@@ -189,11 +157,8 @@ mod tests {
     fn json_round_trip() {
         let r = report();
         let s = r.to_json().to_string();
-        let back = SimReport::from_json(&preexec_json::parse(&s).unwrap());
-        assert_eq!(back.cycles, r.cycles);
-        assert_eq!(back.covered_full, r.covered_full);
-        assert_eq!(back.counts, r.counts);
-        assert_eq!(back.finished, r.finished);
+        let back = SimReport::from_json(&preexec_json::parse(&s).unwrap()).unwrap();
+        assert_eq!(back, r);
     }
 
     #[test]
@@ -203,7 +168,9 @@ mod tests {
         let s = r.to_json().to_string();
         assert!(!s.contains("wall_nanos"), "{s}");
         assert_eq!(
-            SimReport::from_json(&preexec_json::parse(&s).unwrap()).wall_nanos,
+            SimReport::from_json(&preexec_json::parse(&s).unwrap())
+                .unwrap()
+                .wall_nanos,
             0
         );
     }
@@ -243,19 +210,33 @@ mod tests {
             wall_nanos: 0,
         };
         let s = r.to_json().to_string();
-        let back = SimReport::from_json(&preexec_json::parse(&s).unwrap());
+        let back = SimReport::from_json(&preexec_json::parse(&s).unwrap()).unwrap();
         // Serializing the round-tripped report must reproduce the bytes:
         // with every field distinct this pins the whole mapping.
         assert_eq!(back.to_json().to_string(), s);
     }
 
     #[test]
-    fn from_json_defaults_missing_fields() {
-        let r = SimReport::from_json(&preexec_json::parse("{\"cycles\":7}").unwrap());
-        assert_eq!(r.cycles, 7);
-        assert_eq!(r.committed, 0);
-        assert_eq!(r.counts, AccessCounts::default());
-        assert!(!r.finished);
+    fn from_json_rejects_missing_fields() {
+        // A partial report (a truncated store entry, say) must not read
+        // as a run whose missing counters were 0.
+        let partial = |text: &str| SimReport::from_json(&preexec_json::parse(text).unwrap());
+        let err = partial("{\"cycles\":7}").unwrap_err();
+        assert!(
+            err.contains("SimReport") && err.contains("committed"),
+            "{err}"
+        );
+        let mut full = report().to_json();
+        if let preexec_json::Json::Object(fields) = &mut full {
+            let counts = fields.iter_mut().find(|(k, _)| k == "counts").unwrap();
+            counts.1 = preexec_json::parse("{\"imem_main\":1}").unwrap();
+        }
+        let err = SimReport::from_json(&full).unwrap_err();
+        assert!(
+            err.contains("AccessCounts") && err.contains("imem_pth"),
+            "{err}"
+        );
+        assert!(partial("{\"cycles\":7,\"bogus\":1}").is_err());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Integration tests for the campaign subsystem: Pareto-frontier
 //! properties, shard-merge order independence, kill/resume byte
-//! identity, and persistent-store warm starts.
+//! identity, persistent-store warm starts, and recovery from truncated
+//! store entries.
 //!
 //! The engine-backed tests all sweep one small benchmark with a coarse
 //! W grid so the whole file stays fast; the properties they check are
@@ -84,6 +85,25 @@ fn shard_merge_is_order_independent_and_matches_the_full_run() {
             "merge order {order:?} changed the bytes"
         );
     }
+    // A cell delivered twice with identical bytes (a killed shard rerun
+    // on another box, say) is absorbed: the parts still merge to the
+    // full-run bytes.
+    let mut rerun = shards[1].clone();
+    rerun.cells.truncate(1);
+    let parts = [
+        shards[0].clone(),
+        rerun,
+        shards[1].clone(),
+        shards[2].clone(),
+    ];
+    assert_eq!(
+        campaign::merge_sweeps(&parts)
+            .unwrap()
+            .to_json()
+            .to_string(),
+        full,
+        "a duplicate cell changed the bytes"
+    );
     // A shard alone is incomplete: merge refuses, pareto refuses.
     assert!(campaign::merge_sweeps(&shards[..1]).is_err());
     assert!(campaign::pareto(&shards[0], 0.005).is_err());
@@ -152,6 +172,57 @@ fn persistent_store_gives_warm_engines_a_full_hit_rate() {
         first.to_json().to_string(),
         "store-served sweep changed the bytes"
     );
+}
+
+#[test]
+fn truncated_store_reports_recompute_to_the_cold_bytes() {
+    let dir = tmpdir("truncated");
+    let store = std::sync::Arc::new(Store::open(dir.join("store")).unwrap());
+    let cfg = ExpConfig::default();
+    let opts = small_opts();
+    let cold = campaign::run_sweep(&Engine::from_env().with_store(store.clone()), &cfg, &opts);
+
+    // Cut every filed timing report down to its cycle count: a partial
+    // entry that still parses, with every other counter missing.
+    let mut cut = 0u64;
+    for shard in std::fs::read_dir(dir.join("store/entries")).unwrap() {
+        for entry in std::fs::read_dir(shard.unwrap().path()).unwrap() {
+            let path = entry.unwrap().path();
+            let mut j = preexec_json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+            let Some(cycles) = j.get("value").and_then(|v| v.get("cycles")).cloned() else {
+                continue;
+            };
+            if let preexec_json::Json::Object(fields) = &mut j {
+                fields.retain(|(k, _)| k != "value");
+                fields.push((
+                    "value".into(),
+                    preexec_json::Json::object().with("cycles", cycles),
+                ));
+            }
+            std::fs::write(&path, j.to_string()).unwrap();
+            cut += 1;
+        }
+    }
+    assert!(cut >= 2, "a baseline and an optimized run were filed");
+
+    // Each partial entry is a miss that recomputes, not a hit that
+    // reads the missing counters as 0.
+    let warm = Engine::from_env().with_store(store.clone());
+    let rerun = campaign::run_sweep(&warm, &cfg, &opts);
+    assert_eq!(
+        rerun.to_json().to_string(),
+        cold.to_json().to_string(),
+        "a truncated store entry changed the bytes"
+    );
+    assert_eq!(warm.metrics().store_misses(), cut);
+    assert_eq!(warm.metrics().store_hits(), 0);
+    assert_eq!(store.counters().corrupt, cut);
+
+    // The recompute overwrote every entry: the next engine is fully warm.
+    let healed = Engine::from_env().with_store(store);
+    let third = campaign::run_sweep(&healed, &cfg, &opts);
+    assert_eq!(healed.metrics().store_misses(), 0);
+    assert_eq!(third.to_json().to_string(), cold.to_json().to_string());
 }
 
 #[test]
