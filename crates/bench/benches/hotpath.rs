@@ -8,9 +8,6 @@
 //! - **cold-select latency** — `Engine::prepared` + `evaluate(Latency)`
 //!   on a fresh engine: the full trace→profile→slice→critpath→sim→select
 //!   pipeline with every memo cold.
-//! - **reference-vs-fast ratio** — the same simulation through the
-//!   retained `ReferenceSimulator` (only with the `reference-pipeline`
-//!   feature; reported as 0 otherwise).
 //!
 //! Environment knobs (all optional):
 //! - `BENCH_HOTPATH_JSON=<path>`: also write the measurements as JSON
@@ -35,19 +32,8 @@ fn min_of<T>(n: usize, mut f: impl FnMut() -> T) -> f64 {
     best
 }
 
-#[cfg(feature = "reference-pipeline")]
-fn reference_secs(program: &preexec_isa::Program, cfg: preexec_sim::SimConfig) -> f64 {
-    use preexec_sim::ReferenceSimulator;
-    min_of(3, || ReferenceSimulator::new(program, cfg).run())
-}
-
-#[cfg(not(feature = "reference-pipeline"))]
-fn reference_secs(_program: &preexec_isa::Program, _cfg: preexec_sim::SimConfig) -> f64 {
-    0.0
-}
-
 fn main() {
-    banner("hot path pins (per-cycle ns, cold select, reference ratio)");
+    banner("hot path pins (per-cycle ns, cold select)");
     let cfg = bench_config();
     let program = build("gap", InputSet::Train).expect("gap kernel");
 
@@ -57,21 +43,6 @@ fn main() {
     let per_cycle_ns = sim_secs * 1e9 / cycles as f64;
     println!("hotpath/sim gap: {:.1}ms ({cycles} cycles)", sim_secs * 1e3);
     println!("hotpath/per-sim-cycle: {per_cycle_ns:.2} ns");
-
-    let ref_secs = reference_secs(&program, cfg.sim);
-    let ratio = if ref_secs > 0.0 {
-        ref_secs / sim_secs
-    } else {
-        0.0
-    };
-    if ref_secs > 0.0 {
-        println!(
-            "hotpath/reference sim gap: {:.1}ms ({ratio:.2}x the fast path)",
-            ref_secs * 1e3
-        );
-    } else {
-        println!("hotpath/reference sim gap: skipped (reference-pipeline off)");
-    }
 
     // Cold select: a fresh engine per sample so every memo layer misses.
     let cold_secs = min_of(5, || {
@@ -85,11 +56,9 @@ fn main() {
         let json = format!(
             "{{\"bench\":\"hotpath\",\"kernel\":\"gap\",\"cycles\":{cycles},\
              \"per_sim_cycle_ns\":{per_cycle_ns:.2},\
-             \"sim_ms\":{:.2},\"reference_sim_ms\":{:.2},\
-             \"reference_over_fast\":{ratio:.2},\
+             \"sim_ms\":{:.2},\
              \"cold_select_ms\":{:.2},\"samples\":\"min-of-N\"}}\n",
             sim_secs * 1e3,
-            ref_secs * 1e3,
             cold_secs * 1e3,
         );
         std::fs::write(&path, json).expect("write BENCH_HOTPATH_JSON");

@@ -50,7 +50,7 @@
 
 mod spec;
 
-pub use spec::GenSpec;
+pub use spec::{GenSpec, SPEC_KEYS};
 
 use preexec_analysis::lint_program;
 use preexec_isa::{Program, ProgramBuilder, Reg, WORD_BYTES};

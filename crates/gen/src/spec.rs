@@ -162,6 +162,17 @@ impl GenSpec {
                 })
                 .collect()
         }
+        // The one narrowing of outside integers onto the `u32` knobs: a
+        // value past `u32::MAX` is an error naming the knob, not a wrap.
+        fn u32s(key: &str, v: &Json) -> Result<Vec<u32>, String> {
+            u64s(key, v)?
+                .into_iter()
+                .map(|n| {
+                    u32::try_from(n)
+                        .map_err(|_| format!("{key} value {n} is too large (max {})", u32::MAX))
+                })
+                .collect()
+        }
         fn f64s(key: &str, v: &Json) -> Result<Vec<f64>, String> {
             scalar_or_array(v)
                 .into_iter()
@@ -172,16 +183,10 @@ impl GenSpec {
                 .collect()
         }
         if let Some(x) = v.get("slice_len") {
-            spec.slice_len = u64s("slice_len", x)?
-                .into_iter()
-                .map(|n| n as u32)
-                .collect();
+            spec.slice_len = u32s("slice_len", x)?;
         }
         if let Some(x) = v.get("induction_depth") {
-            spec.induction_depth = u64s("induction_depth", x)?
-                .into_iter()
-                .map(|n| n as u32)
-                .collect();
+            spec.induction_depth = u32s("induction_depth", x)?;
         }
         if let Some(x) = v.get("branch_divergence") {
             spec.branch_divergence = f64s("branch_divergence", x)?;
@@ -330,6 +335,15 @@ footprint = 65536
         assert!(GenSpec::from_toml("mis_rate = 0.5").is_err());
         let json = preexec_json::parse(r#"{"mis_rate":0.5}"#).unwrap();
         assert!(GenSpec::from_json(&json).is_err());
+    }
+
+    #[test]
+    fn integer_knobs_past_u32_are_errors_naming_the_knob() {
+        for knob in ["slice_len", "induction_depth"] {
+            let json = preexec_json::parse(&format!(r#"{{"{knob}":4294967300}}"#)).unwrap();
+            let err = GenSpec::from_json(&json).unwrap_err();
+            assert!(err.contains(knob), "{err}");
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::campaign::{merge_sweeps, try_run_sweep, SweepCell, SweepOptions, Swee
 use crate::engine::Engine;
 use crate::setup::ExpConfig;
 use crate::table::{ratio, TextTable};
-use preexec_gen::{build_scenario, GenSpec, Scenario};
+use preexec_gen::{build_scenario, GenSpec};
 use preexec_json::{impl_json_object, Json};
 use std::fmt;
 use std::path::PathBuf;
@@ -187,34 +187,6 @@ impl fmt::Display for AtlasResult {
     }
 }
 
-/// Admits every scenario of the grid: builds it and runs the
-/// `preexec-gen` gate (lint + oracle differential), in parallel across
-/// `threads`, reporting results in grid order.
-fn admit_all(scenarios: &[Scenario], threads: usize) -> Vec<Result<(), String>> {
-    let threads = threads.max(1).min(scenarios.len().max(1));
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let results: Vec<std::sync::Mutex<Option<Result<(), String>>>> = scenarios
-        .iter()
-        .map(|_| std::sync::Mutex::new(None))
-        .collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= scenarios.len() {
-                    return;
-                }
-                let verdict = build_scenario(&scenarios[i]).and_then(|p| preexec_gen::admit(&p));
-                *results[i].lock().unwrap() = Some(verdict);
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|slot| slot.into_inner().unwrap().expect("admission slot filled"))
-        .collect()
-}
-
 /// Runs an atlas: expand → admit (whole grid, any failure is an error) →
 /// sweep the owned cells → classify winners when complete. `base` is the
 /// experiment config every cell perturbs (as in `run_sweep`). An
@@ -226,7 +198,11 @@ pub fn run_atlas(
 ) -> Result<AtlasResult, String> {
     let scenarios = opts.spec.scenarios()?;
     engine.say(|| format!("atlas: admitting {} generated scenarios", scenarios.len()));
-    let verdicts = admit_all(&scenarios, engine.threads());
+    // Admission builds each scenario and runs the `preexec-gen` gate
+    // (lint + oracle differential) on the engine's pool, in grid order.
+    let verdicts = engine.par_map(scenarios.iter().collect(), |s| {
+        build_scenario(s).and_then(|p| preexec_gen::admit(&p))
+    });
     let failures: Vec<&String> = verdicts.iter().filter_map(|v| v.as_ref().err()).collect();
     if let Some(first) = failures.first() {
         return Err(format!(

@@ -32,7 +32,7 @@
 //! *are* the paper targets.
 
 use crate::engine::Engine;
-use crate::setup::{versioned, ExpConfig, MODEL_VERSION};
+use crate::setup::{ExpConfig, MODEL_VERSION};
 use crate::{ratio, TextTable};
 use preexec_campaign::{content_hash, frontier, frontier_excess, owns_cell, Journal};
 use preexec_json::{impl_json_object, Json, ToJson};
@@ -277,13 +277,6 @@ pub fn cell_count(opts: &SweepOptions) -> usize {
         * w_grid(opts.points).len()
 }
 
-/// The persistent-store key a *complete* sweep result is filed under:
-/// content-addressed by the spec echo, version-prefixed like every
-/// other store key so a model bump invalidates it.
-fn sweep_store_key(spec: &Json) -> String {
-    versioned(MODEL_VERSION, &format!("sweep|{spec}"))
-}
-
 /// Expands the spec into indexed cells: benchmarks × memory latencies ×
 /// idle factors × W grid, W innermost.
 fn expand(opts: &SweepOptions) -> Vec<CellSpec> {
@@ -314,10 +307,8 @@ type CellGroup = ((String, u64, u64), Vec<(usize, CellSpec)>);
 
 /// Runs (this shard of) the sweep on `engine`. Completed cells are
 /// journaled as they finish; cells already journaled under the same
-/// spec are replayed without touching the engine. A complete result is
-/// filed in the engine's persistent store, keyed by its spec. Panics if
-/// the journal cannot be opened; [`try_run_sweep`] returns that as an
-/// error instead.
+/// spec are replayed without touching the engine. Panics if the journal
+/// cannot be opened; [`try_run_sweep`] returns that as an error instead.
 pub fn run_sweep(engine: &Engine, base: &ExpConfig, opts: &SweepOptions) -> SweepResult {
     try_run_sweep(engine, base, opts).unwrap_or_else(|e| panic!("{e}"))
 }
@@ -338,17 +329,11 @@ pub fn try_run_sweep(
         None => None,
     };
     let (cells, replayed) = evaluate(engine, base, opts, journal.as_ref());
-    let result = SweepResult {
+    Ok(SweepResult {
         spec,
         cells,
         replayed,
-    };
-    if result.complete() {
-        if let Some(store) = engine.store() {
-            store.save(&sweep_store_key(&result.spec), &result.to_json());
-        }
-    }
-    Ok(result)
+    })
 }
 
 /// Evaluates the cells of `opts` that its shard owns on `engine`, in

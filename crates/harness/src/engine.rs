@@ -8,7 +8,10 @@
 //!    selection-weight sweeps reuse the full
 //!    trace/profile/slice/critpath/baseline pipeline.
 //! 2. **Bases** ([`PreparedBase::base_key`]) — slice-knob sweeps rebuild
-//!    only the trees, sharing the critical-path model and baseline run.
+//!    only the trees and their selection table. A core is a shared base
+//!    (an `Arc`, not a copy) plus those trees and that table, so every
+//!    core finished from one base holds the same profile, critical-path
+//!    cost functions and baseline run.
 //! 3. **Simulations** (structural key × selection signature) — any two
 //!    cells that select the same p-threads on the same machine share one
 //!    deterministic timing run.
@@ -145,11 +148,6 @@ impl Engine {
         self
     }
 
-    /// The persistent store, if one is attached.
-    pub fn store(&self) -> Option<&Arc<Store>> {
-        self.store.as_ref()
-    }
-
     /// The worker-thread count.
     pub fn threads(&self) -> usize {
         self.threads
@@ -174,7 +172,7 @@ impl Engine {
         let start = std::time::Instant::now();
         let (core, hit) = memo(&self.cache, PreparedCore::structural_key(name, cfg), || {
             let (base, side) = self.base(name, cfg);
-            PreparedCore::from_base_metered_with(&base, cfg, Some(&self.metrics), side)
+            PreparedCore::from_base(base, cfg, &self.metrics, side)
         });
         if hit {
             self.metrics.add_cache_hit();
@@ -219,9 +217,9 @@ impl Engine {
 
     /// The memoized slice-independent base artifacts for `(name, cfg)`.
     /// On a fresh build the profiling trace and annotation ride along so
-    /// the caller's slicing stage can skip its trace replay; a cache- or
-    /// store-served base returns `None` (the artifacts are deliberately
-    /// not cached — they would dominate cache memory).
+    /// the caller's slicing stage can skip its trace replay; a cache-served
+    /// base returns `None` (the artifacts are deliberately not cached —
+    /// they would dominate cache memory).
     fn base(
         &self,
         name: &str,
@@ -232,13 +230,16 @@ impl Engine {
     ) {
         let mut side = None;
         let (base, hit) = memo(&self.bases, PreparedBase::base_key(name, cfg), || {
-            let baseline_key = PreparedBase::baseline_key(name, cfg);
-            let stored = self.store_load_report(&baseline_key);
-            let fresh = stored.is_none();
-            let (base, trace, ann) =
-                PreparedBase::build_metered_full(name, cfg, Some(&self.metrics), stored);
+            let mut fresh = false;
+            let (base, trace, ann) = PreparedBase::build(name, cfg, &self.metrics, |fingerprint| {
+                let stored =
+                    self.store_load_report(&PreparedBase::baseline_key_for(fingerprint, cfg));
+                fresh = stored.is_none();
+                stored
+            });
             if fresh {
-                self.store_save_report(&baseline_key, &base.baseline);
+                let key = PreparedBase::baseline_key_for(&base.fingerprint, cfg);
+                self.store_save_report(&key, &base.baseline);
             }
             side = Some((trace, ann));
             base
@@ -547,7 +548,7 @@ mod tests {
             "slice knobs must not rebuild the base"
         );
         assert_eq!(e.metrics().base_hits(), 1);
-        assert_eq!(a.baseline.cycles, b.baseline.cycles, "shared baseline run");
+        assert!(Arc::ptr_eq(&a.core.base, &b.core.base), "one shared base");
     }
 
     #[test]

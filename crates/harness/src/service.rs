@@ -352,30 +352,19 @@ impl EngineService {
             Ok(a) => a,
             Err(resp) => return Route::Inline(resp),
         };
-        // Project the request onto the generator spec; knob bounds are
-        // validated by `GenSpec::scenarios` inside `run_atlas`.
-        let mut spec = preexec_gen::GenSpec::default();
-        if let Some(seed) = areq.seed {
-            spec.seed = seed;
+        // Project the request's present knobs onto the generator spec
+        // through its one JSON reader, which rejects a value too large for
+        // its knob; knob bounds are validated by `GenSpec::scenarios`
+        // inside `run_atlas`.
+        let mut knobs = areq.to_json();
+        if let Json::Object(fields) = &mut knobs {
+            fields
+                .retain(|(k, v)| preexec_gen::SPEC_KEYS.contains(&k.as_str()) && *v != Json::Null);
         }
-        if let Some(v) = &areq.slice_len {
-            spec.slice_len = v.iter().map(|&n| n as u32).collect();
-        }
-        if let Some(v) = &areq.induction_depth {
-            spec.induction_depth = v.iter().map(|&n| n as u32).collect();
-        }
-        if let Some(v) = &areq.branch_divergence {
-            spec.branch_divergence = v.clone();
-        }
-        if let Some(v) = &areq.miss_rate {
-            spec.miss_rate = v.clone();
-        }
-        if let Some(v) = &areq.miss_clustering {
-            spec.miss_clustering = v.clone();
-        }
-        if let Some(v) = &areq.footprint {
-            spec.footprint = v.clone();
-        }
+        let spec = match preexec_gen::GenSpec::from_json(&knobs) {
+            Ok(spec) => spec,
+            Err(e) => return Route::Inline(Response::error(400, &e)),
+        };
         let defaults = atlas::AtlasOptions::default();
         let opts = atlas::AtlasOptions {
             spec,

@@ -1,15 +1,16 @@
 //! End-to-end experiment preparation: trace → profile → slice trees →
 //! critical-path cost functions → baseline simulation, per benchmark.
 //!
-//! Preparation is split in two so the engine can memoize it: a
-//! [`PreparedCore`] holds every artifact that is *independent of the
-//! energy constants* (trace-derived profile, slice trees and their
-//! selection table, cost functions, baseline timing run) and is cached
-//! under [`PreparedCore::structural_key`];
-//! [`Prepared`] wraps an `Arc<PreparedCore>` with the full config and the
-//! (cheap, energy-dependent) application parameters. Sweeps that only
-//! perturb energy constants or selection weights therefore reuse the
-//! expensive artifacts.
+//! Preparation is layered so the engine can memoize it: a
+//! [`PreparedBase`] holds the artifacts independent of *both* the energy
+//! constants and the slicing knobs (trace-derived profile, cost
+//! functions, baseline timing run); a [`PreparedCore`] shares one base
+//! behind an `Arc` and adds the slice trees and their selection table,
+//! and is cached under [`PreparedCore::structural_key`]; [`Prepared`]
+//! wraps an `Arc<PreparedCore>` with the full config and the (cheap,
+//! energy-dependent) application parameters. Sweeps that only perturb
+//! energy constants or selection weights therefore reuse the expensive
+//! artifacts.
 
 use crate::metrics::{Metrics, Stage};
 use preexec_critpath::{Breakdown, CritPathConfig, CritPathModel, LoadCost};
@@ -23,6 +24,7 @@ use pthsel::{
     select, AppParams, CandidateTable, EnergyParams, MachineParams, Selection, SelectionTarget,
     SelectorInputs,
 };
+use std::sync::Arc;
 
 /// Version of the analysis/simulation model, folded into every memo and
 /// persistent-store key. Bump it whenever a change alters what any
@@ -196,53 +198,28 @@ pub struct PreparedBase {
 }
 
 impl PreparedBase {
-    /// Builds the slice-independent pipeline for `name` under `cfg`.
+    /// Builds the slice-independent pipeline for `name` under `cfg`,
+    /// handing back the profiling trace and its memory annotation too: a
+    /// cold `Engine::prepared` threads them straight into
+    /// [`PreparedCore::from_base`], sparing the slicing stage its
+    /// (deterministic, hence bit-identical) trace replay.
+    ///
+    /// `stored` is asked for the baseline run by the run binary's
+    /// [`program_fingerprint`] (a persistent-store probe under
+    /// [`PreparedBase::baseline_key_for`]); a report it returns is used
+    /// instead of simulating. The simulator is deterministic in the binary
+    /// and the machine, so the reused report is bit-identical to the one
+    /// this function would compute.
     ///
     /// # Panics
     ///
     /// Panics if `name` is not a known workload.
-    pub fn build_metered(name: &str, cfg: &ExpConfig, metrics: Option<&Metrics>) -> PreparedBase {
-        PreparedBase::build_metered_with(name, cfg, metrics, None)
-    }
-
-    /// [`PreparedBase::build_metered`], reusing an already-known baseline
-    /// run (e.g. one replayed from the persistent store) instead of
-    /// simulating it. The caller must have obtained `baseline` under
-    /// [`PreparedBase::baseline_key`] for the same `(name, cfg)` — the
-    /// simulator is deterministic in those inputs, so the reused report
-    /// is bit-identical to the one this function would compute.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is not a known workload.
-    pub fn build_metered_with(
+    pub fn build(
         name: &str,
         cfg: &ExpConfig,
-        metrics: Option<&Metrics>,
-        baseline: Option<SimReport>,
-    ) -> PreparedBase {
-        PreparedBase::build_metered_full(name, cfg, metrics, baseline).0
-    }
-
-    /// [`PreparedBase::build_metered_with`], additionally handing back the
-    /// profiling trace and its memory annotation. A cold
-    /// `Engine::prepared` threads them straight into
-    /// [`PreparedCore::from_base_metered_with`], sparing the slicing stage
-    /// its (deterministic, hence bit-identical) trace replay.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is not a known workload.
-    pub fn build_metered_full(
-        name: &str,
-        cfg: &ExpConfig,
-        metrics: Option<&Metrics>,
-        baseline: Option<SimReport>,
+        m: &Metrics,
+        stored: impl FnOnce(&str) -> Option<SimReport>,
     ) -> (PreparedBase, Trace, MemAnnotation) {
-        // A no-op sink keeps the hot path free of Option checks.
-        let fallback = Metrics::new();
-        let m = metrics.unwrap_or(&fallback);
-
         let (profile_prog, run_prog) = m.time(Stage::WorkloadBuild, || {
             let p = build_program(name, cfg.profile_input)
                 .unwrap_or_else(|| panic!("unknown workload {name:?}"));
@@ -276,8 +253,8 @@ impl PreparedBase {
         });
 
         // Baseline timing run on the run input (skipped when a stored
-        // replay was supplied).
-        let baseline = baseline.unwrap_or_else(|| {
+        // replay exists).
+        let baseline = stored(&fingerprint).unwrap_or_else(|| {
             let baseline = m.time(Stage::BaselineSim, || {
                 Simulator::new(&run_prog, cfg.sim).run()
             });
@@ -318,124 +295,86 @@ impl PreparedBase {
         )
     }
 
-    /// The persistent-store key of the baseline timing run: exactly the
-    /// simulator's inputs — the binary's *content fingerprint* and the
-    /// machine configuration — so every name and sweep point sharing a
-    /// binary and a machine shares the stored run. Keying on content
-    /// rather than name is what dedupes generated scenarios whose knob
-    /// points emit identical programs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is not a known workload or scenario (the run
-    /// binary must be built to fingerprint it).
-    pub fn baseline_key(name: &str, cfg: &ExpConfig) -> String {
-        let program = build_program(name, cfg.run_input)
-            .unwrap_or_else(|| panic!("unknown workload {name:?}"));
-        PreparedBase::baseline_key_for(&program_fingerprint(&program), cfg)
-    }
-
-    /// [`PreparedBase::baseline_key`] from an already-computed
-    /// fingerprint (skips rebuilding the binary).
+    /// The persistent-store key of the baseline timing run of a binary
+    /// with content `fingerprint` ([`program_fingerprint`]): exactly the
+    /// simulator's inputs — the binary's content and the machine
+    /// configuration — so every name and sweep point sharing a binary and
+    /// a machine shares the stored run. Keying on content rather than name
+    /// is what dedupes generated scenarios whose knob points emit
+    /// identical programs.
     pub fn baseline_key_for(fingerprint: &str, cfg: &ExpConfig) -> String {
         versioned(
             MODEL_VERSION,
             &format!("baseline|pf{fingerprint}|{:?}", cfg.sim),
         )
     }
+
+    /// `BWSEQmt` (equation L6), the unoptimized IPC: measured from the
+    /// baseline when it finished, else the critical-path estimate.
+    fn bw_seq_mt(&self) -> f64 {
+        if self.baseline.finished {
+            self.baseline.ipc()
+        } else {
+            self.cp_ipc
+        }
+    }
 }
 
-/// The energy-independent artifacts of one benchmark's preparation. This
-/// is the expensive ~99% of [`Prepared::build`]; the engine caches it by
-/// [`PreparedCore::structural_key`] and shares it across threads behind an
-/// `Arc`.
+/// The energy-independent artifacts of one benchmark's preparation: a
+/// shared [`PreparedBase`] plus the slice trees and selection table that
+/// `cfg.slice` shapes. This is the expensive ~99% of [`Prepared::build`];
+/// the engine caches it by [`PreparedCore::structural_key`] and shares it
+/// across threads behind an `Arc`. Dereferences to its base, so the base
+/// artifacts read like plain fields (`core.baseline`, `core.program`).
 #[derive(Clone, Debug)]
 pub struct PreparedCore {
-    /// Benchmark name.
-    pub name: String,
-    /// The binary that runs (built for the run input).
-    pub program: Program,
-    /// Per-PC profile mined from the profiling run.
-    pub profile: Profile,
+    /// The slice-independent artifacts, shared with every core finished
+    /// from the same base.
+    pub base: Arc<PreparedBase>,
     /// Slice trees of the problem loads.
     pub trees: Vec<SliceTree>,
-    /// Criticality-based cost functions of the problem loads.
-    pub costs: Vec<LoadCost>,
     /// Every candidate of `trees` with its latency terms, read by every
     /// selection on this core.
     pub table: CandidateTable,
-    /// Critical-path breakdown of the unoptimized profiling run.
-    pub cp_breakdown: Breakdown,
-    /// Unoptimized timing-simulator baseline (on the run input).
-    pub baseline: SimReport,
-    /// Content fingerprint of `program` ([`program_fingerprint`]).
-    pub fingerprint: String,
-    /// Critical-path IPC estimate (fallback for unfinished baselines).
-    cp_ipc: f64,
+}
+
+impl std::ops::Deref for PreparedCore {
+    type Target = PreparedBase;
+
+    fn deref(&self) -> &PreparedBase {
+        &self.base
+    }
 }
 
 impl PreparedCore {
-    /// Builds the energy-independent pipeline for `name` under `cfg`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is not a known workload.
-    pub fn build(name: &str, cfg: &ExpConfig) -> PreparedCore {
-        PreparedCore::build_metered(name, cfg, None)
-    }
-
-    /// [`PreparedCore::build`] with per-stage wall-clock and counters
-    /// recorded into `metrics`.
-    pub fn build_metered(name: &str, cfg: &ExpConfig, metrics: Option<&Metrics>) -> PreparedCore {
-        let base = PreparedBase::build_metered(name, cfg, metrics);
-        PreparedCore::from_base_metered(&base, cfg, metrics)
-    }
-
     /// Finishes a (possibly cache-served) [`PreparedBase`] for `cfg`'s
-    /// slicing knobs: replays the (cheap, deterministic) profiling trace
-    /// and builds the slice trees. Everything else is cloned from `base`,
-    /// so two cores finished from one base are bit-identical outside their
-    /// trees.
-    pub fn from_base_metered(
-        base: &PreparedBase,
+    /// slicing knobs: builds the slice trees and their selection table.
+    /// Slicing needs the profiling trace and annotation, which `side`
+    /// may supply (a fresh [`PreparedBase::build`] returns them);
+    /// otherwise they are replayed. The replay is deterministic in
+    /// `(base.profile_prog, cfg.trace_cap, cfg.sim.hierarchy)`, so either
+    /// way the trees are bit-identical, and a cold engine preparation that
+    /// threads them through runs the 600k-event functional simulation once
+    /// instead of twice.
+    pub fn from_base(
+        base: Arc<PreparedBase>,
         cfg: &ExpConfig,
-        metrics: Option<&Metrics>,
-    ) -> PreparedCore {
-        PreparedCore::from_base_metered_with(base, cfg, metrics, None)
-    }
-
-    /// [`PreparedCore::from_base_metered`], optionally reusing the
-    /// profiling trace and annotation the base build just produced (see
-    /// [`PreparedBase::build_metered_full`]). The replay is deterministic
-    /// in `(base.profile_prog, cfg.trace_cap, cfg.sim.hierarchy)`, so a
-    /// supplied pair yields bit-identical trees to a fresh replay; a cold
-    /// engine preparation that threads them through runs the 600k-event
-    /// functional simulation once instead of twice.
-    pub fn from_base_metered_with(
-        base: &PreparedBase,
-        cfg: &ExpConfig,
-        metrics: Option<&Metrics>,
+        m: &Metrics,
         side: Option<(Trace, MemAnnotation)>,
     ) -> PreparedCore {
-        let fallback = Metrics::new();
-        let m = metrics.unwrap_or(&fallback);
-
-        // Slicing needs the raw trace, which the base layer does not keep
-        // (it would dominate cache memory). When the caller cannot supply
-        // it (a cache-served base), replaying it is a tiny fraction of
-        // the critpath + baseline work the base layer saves.
-        let (trace, ann) = match side {
-            Some((trace, ann)) => (trace, ann),
-            None => {
-                let trace = m.time(Stage::Trace, || {
-                    FuncSim::new(&base.profile_prog).run_trace(cfg.trace_cap)
-                });
-                let ann = m.time(Stage::Profile, || {
-                    MemAnnotation::compute(&trace, cfg.sim.hierarchy)
-                });
-                (trace, ann)
-            }
-        };
+        // The base layer does not keep the raw trace (it would dominate
+        // cache memory). When the caller cannot supply it (a cache-served
+        // base), replaying it is a tiny fraction of the critpath +
+        // baseline work the base layer saves.
+        let (trace, ann) = side.unwrap_or_else(|| {
+            let trace = m.time(Stage::Trace, || {
+                FuncSim::new(&base.profile_prog).run_trace(cfg.trace_cap)
+            });
+            let ann = m.time(Stage::Profile, || {
+                MemAnnotation::compute(&trace, cfg.sim.hierarchy)
+            });
+            (trace, ann)
+        });
         let trees: Vec<SliceTree> = m.time(Stage::Slice, || {
             base.problem_pcs
                 .iter()
@@ -460,22 +399,10 @@ impl PreparedCore {
                 &base.profile,
                 &base.costs,
                 cfg.machine_params(),
-                bw_seq_mt(&base.baseline, base.cp_ipc),
+                base.bw_seq_mt(),
             )
         });
-
-        PreparedCore {
-            name: base.name.clone(),
-            program: base.program.clone(),
-            profile: base.profile.clone(),
-            trees,
-            costs: base.costs.clone(),
-            table,
-            cp_breakdown: base.cp_breakdown,
-            baseline: base.baseline.clone(),
-            fingerprint: base.fingerprint.clone(),
-            cp_ipc: base.cp_ipc,
-        }
+        PreparedCore { base, trees, table }
     }
 
     /// The engine's cache key: every configuration field that shapes these
@@ -499,23 +426,13 @@ impl PreparedCore {
     }
 }
 
-/// `BWSEQmt` (equation L6), the unoptimized IPC: measured from the
-/// baseline when it finished, else the critical-path estimate.
-fn bw_seq_mt(baseline: &SimReport, cp_ipc: f64) -> f64 {
-    if baseline.finished {
-        baseline.ipc()
-    } else {
-        cp_ipc
-    }
-}
-
 /// Everything needed to select and evaluate p-threads for one benchmark
 /// under one configuration. Dereferences to its [`PreparedCore`], so the
 /// shared artifacts read like plain fields (`prep.baseline`, `prep.trees`).
 #[derive(Clone, Debug)]
 pub struct Prepared {
     /// The shared energy-independent artifacts.
-    pub core: std::sync::Arc<PreparedCore>,
+    pub core: Arc<PreparedCore>,
     /// Configuration used (including energy constants).
     pub cfg: ExpConfig,
     /// Application parameters measured from the baseline under
@@ -539,18 +456,23 @@ impl Prepared {
     ///
     /// Panics if `name` is not a known workload.
     pub fn build(name: &str, cfg: &ExpConfig) -> Prepared {
-        Prepared::from_core(std::sync::Arc::new(PreparedCore::build(name, cfg)), cfg)
+        let metrics = Metrics::new();
+        // The trace is dropped and replayed, as for a cache-served base,
+        // so comparing this path with the engine's also checks the replay.
+        let (base, _, _) = PreparedBase::build(name, cfg, &metrics, |_| None);
+        let core = PreparedCore::from_base(Arc::new(base), cfg, &metrics, None);
+        Prepared::from_core(Arc::new(core), cfg)
     }
 
     /// Finishes a cached core for `cfg`: recomputes the (cheap)
     /// energy-dependent application parameters.
-    pub fn from_core(core: std::sync::Arc<PreparedCore>, cfg: &ExpConfig) -> Prepared {
+    pub fn from_core(core: Arc<PreparedCore>, cfg: &ExpConfig) -> Prepared {
         let l0 = core.baseline.cycles as f64;
         let e0 = core.baseline.total_energy(&cfg.energy);
         let app = AppParams {
             l0,
             e0,
-            bw_seq_mt: bw_seq_mt(&core.baseline, core.cp_ipc),
+            bw_seq_mt: core.bw_seq_mt(),
         };
         Prepared {
             core,
@@ -684,7 +606,7 @@ mod tests {
         for key in [
             PreparedCore::structural_key("gap", &cfg),
             PreparedBase::base_key("gap", &cfg),
-            PreparedBase::baseline_key("gap", &cfg),
+            PreparedBase::baseline_key_for("0123abcd", &cfg),
         ] {
             assert!(key.starts_with(&prefix), "unversioned key {key:?}");
         }

@@ -23,6 +23,11 @@ fn scratch_file(name: &str, contents: &str) -> String {
 
 #[test]
 fn malformed_and_foreign_flags_are_usage_errors() {
+    // 2^32 + 4 must not wrap to a 4-instruction slice.
+    let oversized = scratch_file(
+        "cli-oversized-knob.json",
+        r#"{"slice_len":4294967300,"footprint":4096}"#,
+    );
     let cases: &[&[&str]] = &[
         &[],
         &["fig99"],
@@ -40,6 +45,7 @@ fn malformed_and_foreign_flags_are_usage_errors() {
         &["gen", "--seed", "zz"],
         &["gen", "--set", "miss_rate"],
         &["gen", "--points", "5"],
+        &["gen", "--spec", &oversized],
         &["atlas", "--bench", "gap"],
         &["atlas", "--points", "x"],
         &["atlas", "--idle-factor", "x"],

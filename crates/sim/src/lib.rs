@@ -15,15 +15,14 @@
 //! Figure 3: spawns, useless spawns, fully/partially covered misses, and
 //! p-instruction overhead.
 //!
-//! ## The `reference-pipeline` feature
+//! ## The reference pipeline
 //!
 //! The hot path in `pipeline.rs` is a struct-of-arrays rewrite with
 //! event-driven stall fast-forwarding. The original map-backed
-//! implementation is retained as [`ReferenceSimulator`] behind the
-//! default-on `reference-pipeline` feature; the differential wall
-//! (`tests/fastpath.rs`) asserts the two produce identical reports. Build
-//! with `--no-default-features` to drop the reference path from release
-//! binaries.
+//! implementation is not part of this crate: it is kept as test support
+//! (`tests/support/reference.rs` at the repository root), and the
+//! differential wall (`tests/fastpath.rs`) asserts the two produce
+//! identical reports.
 //!
 //! ## The `sanitize` feature
 //!
@@ -43,13 +42,9 @@
 mod config;
 mod interval;
 mod pipeline;
-#[cfg(feature = "reference-pipeline")]
-mod reference;
 mod report;
 
 pub use config::{SimConfig, SpawnPoint};
 pub use interval::IntervalSnapshot;
 pub use pipeline::Simulator;
-#[cfg(feature = "reference-pipeline")]
-pub use reference::ReferenceSimulator;
 pub use report::SimReport;

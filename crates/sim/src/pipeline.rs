@@ -23,8 +23,8 @@
 //! ## Hot-path layout
 //!
 //! This implementation is the data-oriented rewrite of the historical
-//! map-backed pipeline (retained as `ReferenceSimulator` behind the
-//! `reference-pipeline` feature, and differentially tested against it in
+//! map-backed pipeline (retained as test support,
+//! `tests/support/reference.rs`, and differentially tested against it in
 //! `tests/fastpath.rs`):
 //!
 //! * The in-flight window is a **struct-of-arrays ring** of live entries:

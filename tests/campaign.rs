@@ -157,6 +157,17 @@ fn persistent_store_gives_warm_engines_a_full_hit_rate() {
     assert_eq!(cold.metrics().store_hits(), 0, "nothing persisted yet");
     assert!(cold.metrics().store_misses() > 0);
 
+    // The store caches timing runs only: every entry is a whole report,
+    // so none is written that no reader asks for.
+    for shard in std::fs::read_dir(dir.join("store/entries")).unwrap() {
+        for entry in std::fs::read_dir(shard.unwrap().path()).unwrap() {
+            let path = entry.unwrap().path();
+            let j = preexec_json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+            let report = preexec::sim::SimReport::from_json(j.get("value").unwrap());
+            assert!(report.is_ok(), "{}: {report:?}", path.display());
+        }
+    }
+
     // A fresh engine (empty in-memory memo) over the same store: every
     // timing run replays from disk — a 100% (≥90%) hit rate.
     let warm = Engine::from_env().with_store(store);

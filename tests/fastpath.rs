@@ -1,6 +1,6 @@
 //! The differential test wall between the data-oriented fast pipeline
 //! ([`preexec::sim::Simulator`]) and the retained slow path
-//! ([`preexec::sim::ReferenceSimulator`], feature `reference-pipeline`).
+//! (`ReferenceSimulator`, test support in `tests/support/reference.rs`).
 //!
 //! Every seed kernel and 200 fuzzer-generated programs run through both
 //! pipelines — bare and with p-threads installed — and must agree on
@@ -17,17 +17,20 @@
 //! exercise growth. A mispredict-heavy program exercises squashed entries
 //! whose slots are reused, and a p-thread with a late consumer of its own
 //! outstanding load checks that an issued load is not retired early.
-#![cfg(feature = "reference-pipeline")]
+
+#[path = "support/reference.rs"]
+mod reference;
 
 use preexec::energy::EnergyConfig;
 use preexec::harness::{Engine, ExpConfig};
 use preexec::isa::{AluOp, Inst, Program, ProgramBuilder, Reg};
 use preexec::oracle::fuzz;
-use preexec::sim::{ReferenceSimulator, SimConfig, SimReport, Simulator};
+use preexec::sim::{SimConfig, SimReport, Simulator};
 use preexec::workloads::{self, InputSet};
 use preexec_json::ToJson;
 use preexec_prop::Gen;
 use pthsel::{PThread, SelectionTarget};
+use reference::ReferenceSimulator;
 use std::sync::OnceLock;
 
 /// The window ring's starting capacity; a larger final capacity means the

@@ -14,7 +14,7 @@
 //! on the 2% buckets being keyed to the tree's final best advantage.
 
 use preexec::critpath::LoadCost;
-use preexec::harness::{ExpConfig, Prepared, PreparedCore};
+use preexec::harness::{ExpConfig, Prepared};
 use preexec::isa::{Inst, Pc};
 use preexec::pthsel::{
     AppParams, Candidate, CompositeModel, EnergyModel, LatencyModel, MachineParams, PThread,
@@ -363,7 +363,7 @@ fn check(name: &str) {
     for mem_latency in [200, 300, 500] {
         let mut cfg = ExpConfig::default();
         cfg.sim = cfg.sim.with_mem_latency(mem_latency);
-        let core = Arc::new(PreparedCore::build(name, &cfg));
+        let core = Prepared::build(name, &cfg).core;
         for idle in [0.05, 0.10] {
             cfg.energy = cfg.energy.with_idle_factor(idle);
             let prep = Prepared::from_core(Arc::clone(&core), &cfg);

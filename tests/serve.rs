@@ -110,6 +110,12 @@ fn validation_layer_rejects_before_admission() {
             r#"{"points":2,"idle_factors":[0.05,2]}"#,
             "idle_factors",
         ),
+        // 2^32 + 4 must not wrap to a 4-instruction slice.
+        (
+            "/v1/atlas",
+            r#"{"points":2,"slice_len":4294967300,"footprint":4096}"#,
+            "slice_len",
+        ),
     ] {
         let bad = call(addr, "POST", path, body);
         assert_eq!(bad.status, 400, "{path} {body}: {}", bad.body_str());

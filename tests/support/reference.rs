@@ -1,9 +1,9 @@
 //! The retained reference pipeline (slow path).
 //!
 //! This is the original map-backed, cycle-at-a-time implementation of the
-//! pipeline, kept verbatim behind the `reference-pipeline` feature as the
-//! correctness oracle for the data-oriented hot path in `pipeline.rs`.
-//! The differential wall (`tests/fastpath.rs`, `repro verify`) runs both
+//! pipeline, kept verbatim as test support: the correctness oracle for the
+//! data-oriented hot path in `crates/sim/src/pipeline.rs`. It is compiled
+//! only into the differential wall (`tests/fastpath.rs`), which runs both
 //! and asserts cycle counts, retirement counts, and every energy term are
 //! identical. When the two disagree, trust this one — and keep any edit
 //! here in lockstep with the hot path.
@@ -32,12 +32,12 @@
 //!   waste energy), which is why PTHSEL+E's energy-overhead predictions
 //!   err low, as the paper observes.
 
-use crate::{SimConfig, SimReport, SpawnPoint};
 use preexec_bpred::{Btb, HybridPredictor};
 #[cfg(feature = "sanitize")]
 use preexec_energy::AccessCounts;
 use preexec_isa::{Inst, InstClass, Pc, Program, Reg, NUM_ARCH_REGS};
 use preexec_mem::{Hierarchy, Level};
+use preexec_sim::{SimConfig, SimReport, SpawnPoint};
 use pthsel::PThread;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
@@ -140,7 +140,7 @@ struct PthreadCtx {
 ///
 /// ```
 /// use preexec_isa::{ProgramBuilder, Reg};
-/// use preexec_sim::{SimConfig, ReferenceSimulator};
+/// use preexec_sim::SimConfig;
 ///
 /// let mut b = ProgramBuilder::new("p");
 /// b.li(Reg::new(1), 20).addi(Reg::new(1), Reg::new(1), 22).halt();
