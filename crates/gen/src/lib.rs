@@ -31,6 +31,8 @@
 //! `preexec-analysis` lint findings (warnings included) and run
 //! architecturally identical through the functional oracle and the
 //! pipelined simulator on a two-point config grid ([`ADMISSION_CONFIGS`]).
+//! [`admit_runs`] hands the checked runs back, so a caller that would
+//! simulate the same machine (the atlas's baseline runs) can reuse them.
 //! Generation is fully deterministic: a scenario is identified by its
 //! [`Scenario::name`] (`gen:sl…_s{seed}`), and the same name always
 //! yields a byte-identical program — names, not programs, flow through
@@ -54,7 +56,8 @@ pub use spec::{GenSpec, SPEC_KEYS};
 
 use preexec_analysis::lint_program;
 use preexec_isa::{Program, ProgramBuilder, Reg, WORD_BYTES};
-use preexec_oracle::diff::{check_equivalence, config_grid};
+use preexec_oracle::diff::{check_run, config_grid, oracle_state};
+use preexec_sim::{IntervalSnapshot, SimConfig, SimReport};
 use preexec_workloads::util::region;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -344,6 +347,26 @@ pub fn build_named(name: &str) -> Option<Program> {
 /// oracle-vs-pipeline architectural identity on every
 /// [`ADMISSION_CONFIGS`] config. Returns the first failure.
 pub fn admit(program: &Program) -> Result<(), String> {
+    admit_runs(program, 0).map(|_| ())
+}
+
+/// One pipeline run the admission gate checked, handed back so a caller
+/// can reuse it instead of simulating the same machine again.
+#[derive(Clone, Debug)]
+pub struct AdmissionRun {
+    /// The machine of the [`ADMISSION_CONFIGS`] entry it ran under.
+    pub sim: SimConfig,
+    /// The run's report.
+    pub report: SimReport,
+    /// The run's interval log (empty when logging was off).
+    pub intervals: Vec<IntervalSnapshot>,
+}
+
+/// [`admit`], keeping the checked runs: one per [`ADMISSION_CONFIGS`]
+/// entry, in that order, each with its interval log at `log_stride`
+/// cycles (`0` turns the log off). The oracle runs once, since
+/// architectural state does not depend on the machine.
+pub fn admit_runs(program: &Program, log_stride: u64) -> Result<Vec<AdmissionRun>, String> {
     let findings = lint_program(program);
     if !findings.is_empty() {
         let list: Vec<String> = findings.iter().map(|f| f.to_string()).collect();
@@ -354,16 +377,25 @@ pub fn admit(program: &Program) -> Result<(), String> {
             list.join("; ")
         ));
     }
+    let failed = |e: String| format!("{}: {e}", program.name());
+    let oracle = oracle_state(program, "oracle").map_err(failed)?;
     let grid = config_grid();
-    for want in ADMISSION_CONFIGS {
-        let (label, cfg) = grid
-            .iter()
-            .find(|(name, _)| *name == want)
-            .unwrap_or_else(|| panic!("config grid lost the {want} entry"));
-        check_equivalence(program, &[], cfg, label)
-            .map_err(|e| format!("{}: {e}", program.name()))?;
-    }
-    Ok(())
+    ADMISSION_CONFIGS
+        .iter()
+        .map(|&want| {
+            let (label, sim) = grid
+                .iter()
+                .find(|(name, _)| *name == want)
+                .unwrap_or_else(|| panic!("config grid lost the {want} entry"));
+            let (report, intervals) =
+                check_run(program, &oracle, &[], sim, label, log_stride).map_err(failed)?;
+            Ok(AdmissionRun {
+                sim: *sim,
+                report,
+                intervals,
+            })
+        })
+        .collect()
 }
 
 /// Renders a program as parseable kernel text: a name comment, `.data`

@@ -4,16 +4,16 @@
 //!
 //! Per benchmark the flow is:
 //!
-//! 1. Run the *baseline* machine once with the sim's interval log on and
-//!    segment its signal series into phases (`controller::phase`). The
-//!    phase boundaries live in committed-instruction space, which is
-//!    selection-invariant: every candidate machine commits the same
-//!    main-thread instructions in the same order.
+//! 1. Read the *baseline* run's interval log and segment its signal
+//!    series into phases (`controller::phase`). The phase boundaries live
+//!    in committed-instruction space, which is selection-invariant: every
+//!    candidate machine commits the same main-thread instructions in the
+//!    same order.
 //! 2. At each phase boundary, run the successive-halving W search. Each
 //!    probe is an ordinary `Engine::evaluate_many` call — the same
 //!    memo/store keys as `repro sweep` — so probing is served from the
 //!    store on warm runs (`store_misses` 0). The probe's *score* is
-//!    phase-local: candidate interval runs (aux-cached, deduped by
+//!    phase-local: candidate interval curves (aux-cached, deduped by
 //!    installed p-thread set) are linearly interpolated at the phase's
 //!    instruction boundaries, which is exact because every energy term
 //!    is linear in counts and cycles.
@@ -21,6 +21,12 @@
 //!    frontier from the same engine's `run_sweep` grid: per-phase regret
 //!    (`frontier_excess`), and convergence as the first phase from which
 //!    regret stays within ε.
+//!
+//! Every log comes from the engine's memo of timing runs, which records
+//! one at [`DEFAULT_STRIDE`] during the run that fills an entry, so at
+//! the default stride adapt simulates nothing the probes and sweep do not
+//! already run. A store-served run has no log, and another `--stride`
+//! needs its own: both cost one logged rerun per curve.
 //!
 //! Everything is deterministic: two invocations produce byte-identical
 //! reports, which the CI smoke and the `adapt` golden pin.
@@ -37,7 +43,7 @@ use preexec_controller::search::{
 use preexec_controller::signal::SignalSeries;
 use preexec_energy::{EnergyBreakdown, EnergyConfig};
 use preexec_json::{jobj, Json, ToJson};
-use preexec_sim::{IntervalSnapshot, Simulator};
+use preexec_sim::IntervalSnapshot;
 use pthsel::SelectionTarget;
 use std::fmt;
 use std::sync::Arc;
@@ -307,7 +313,7 @@ struct RunPoint {
 
 /// The engine-backed prober: official probes go through
 /// `Engine::evaluate_many` (store-served on repeats); phase-local
-/// scores come from aux-cached interval-logged candidate runs.
+/// scores come from aux-cached interval curves of the candidate runs.
 struct EngineProber<'a> {
     engine: &'a Engine,
     prep: &'a Prepared,
@@ -322,20 +328,19 @@ struct EngineProber<'a> {
 impl EngineProber<'_> {
     /// The aux-cached interval curve of the candidate's machine, keyed
     /// by the installed p-thread set so equal selections (different Ws
-    /// choosing the same p-threads) share one run.
+    /// choosing the same p-threads) share one curve. At the default
+    /// stride it is read from the engine's memoized run.
     fn curve_for(&self, pthreads: &[pthsel::PThread]) -> Arc<Curve> {
         let prep = self.prep;
         let key = format!(
-            "adapt-curve|pf{}|{:?}|st{}|{:?}",
-            prep.fingerprint, prep.cfg.sim, self.stride, pthreads
+            "adapt-curve|pf{}|{:?}|st{}|{:?}|{:?}",
+            prep.fingerprint, prep.cfg.sim, self.stride, prep.cfg.energy, pthreads
         );
-        let stride = self.stride;
         self.engine.cached(key, || {
-            let mut sim = Simulator::new(&prep.program, prep.cfg.sim)
-                .with_pthreads(pthreads)
-                .with_interval_log(stride);
-            sim.run();
-            Curve::build(sim.intervals(), &prep.cfg.energy)
+            self.engine
+                .with_intervals(prep, pthreads, self.stride, |log| {
+                    Curve::build(log, &prep.cfg.energy)
+                })
         })
     }
 }
@@ -378,7 +383,8 @@ fn adapt_bench(engine: &Engine, base: &ExpConfig, bench: &str, opts: &AdaptOptio
     let prep = engine.prepared(bench, base);
     let stride = opts.stride.max(1);
 
-    // Baseline interval log (aux-cached; the empty selection keys it).
+    // Baseline curve and phases (aux-cached), from the baseline run's
+    // interval log: the empty selection keys it.
     let base_curve_and_seg = {
         let key = format!(
             "adapt-base|pf{}|{:?}|st{}|{:?}|{:?}",
@@ -386,20 +392,14 @@ fn adapt_bench(engine: &Engine, base: &ExpConfig, bench: &str, opts: &AdaptOptio
         );
         let prep = &prep;
         engine.cached(key, || {
-            let mut sim = Simulator::new(&prep.program, prep.cfg.sim).with_interval_log(stride);
-            sim.run();
-            let series = SignalSeries::extract(sim.intervals(), &prep.cfg.energy);
-            let seg = detect(&series, &opts.phase);
-            (Curve::build(sim.intervals(), &prep.cfg.energy), seg)
+            engine.with_intervals(prep, &[], stride, |log| {
+                let series = SignalSeries::extract(log, &prep.cfg.energy);
+                let seg = detect(&series, &opts.phase);
+                (Arc::new(Curve::build(log, &prep.cfg.energy)), seg)
+            })
         })
     };
-    let (ref base_curve_raw, ref segmentation) = *base_curve_and_seg;
-    // Re-wrap the curve for sharing with the prober.
-    let base_curve = Arc::new(Curve {
-        committed: base_curve_raw.committed.clone(),
-        cycles: base_curve_raw.cycles.clone(),
-        energy: base_curve_raw.energy.clone(),
-    });
+    let (ref base_curve, ref segmentation) = *base_curve_and_seg;
 
     // The offline frontier: the same engine's W sweep over the same
     // grid (store-served on warm runs, shared with the probes).
@@ -437,7 +437,7 @@ fn adapt_bench(engine: &Engine, base: &ExpConfig, bench: &str, opts: &AdaptOptio
             engine,
             prep: &prep,
             stride,
-            base_curve: Arc::clone(&base_curve),
+            base_curve: Arc::clone(base_curve),
             range,
             runs: Vec::new(),
         };

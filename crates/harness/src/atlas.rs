@@ -18,12 +18,14 @@
 //! computed over the *whole* grid in every shard, so every shard's
 //! envelope is identical outside its owned cells.
 
+use crate::adapt::DEFAULT_STRIDE;
 use crate::campaign::{merge_sweeps, try_run_sweep, SweepCell, SweepOptions, SweepResult};
 use crate::engine::Engine;
-use crate::setup::ExpConfig;
+use crate::setup::{program_fingerprint, ExpConfig};
 use crate::table::{ratio, TextTable};
-use preexec_gen::{build_scenario, GenSpec};
+use preexec_gen::{admit_runs, build_scenario, AdmissionRun, GenSpec};
 use preexec_json::{impl_json_object, Json};
+use preexec_sim::SimConfig;
 use std::fmt;
 use std::path::PathBuf;
 
@@ -201,7 +203,9 @@ pub fn run_atlas(
     // Admission builds each scenario and runs the `preexec-gen` gate
     // (lint + oracle differential) on the engine's pool, in grid order.
     let verdicts = engine.par_map(scenarios.iter().collect(), |s| {
-        build_scenario(s).and_then(|p| preexec_gen::admit(&p))
+        let program = build_scenario(s)?;
+        let runs = admit_runs(&program, DEFAULT_STRIDE)?;
+        Ok((program_fingerprint(&program), runs))
     });
     let failures: Vec<&String> = verdicts.iter().filter_map(|v| v.as_ref().err()).collect();
     if let Some(first) = failures.first() {
@@ -210,6 +214,26 @@ pub fn run_atlas(
             failures.len(),
             scenarios.len(),
         ));
+    }
+    // A checked run on a cell machine is that cell's baseline run, so the
+    // sweep does not simulate it again.
+    let machines: Vec<SimConfig> = opts
+        .mem_latencies
+        .iter()
+        .map(|&ml| base.sim.with_mem_latency(ml))
+        .collect();
+    for (fingerprint, runs) in verdicts.into_iter().flatten() {
+        engine.metrics().add_admission_runs(runs.len() as u64);
+        for run in runs {
+            for machine in machines.iter().filter(|m| is_baseline_on(&run, m)) {
+                engine.adopt_baseline(
+                    &fingerprint,
+                    machine,
+                    run.report.clone(),
+                    run.intervals.clone(),
+                );
+            }
+        }
     }
     let admission = AdmissionSummary {
         generated: scenarios.len() as u64,
@@ -232,6 +256,20 @@ pub fn run_atlas(
         sweep,
         winners,
     })
+}
+
+/// Whether a checked admission run is the baseline run on `machine`:
+/// the machines are equal up to the cycle cap, and the run finished
+/// within a cap no larger than `machine`'s. The cap only bounds the run
+/// loop and a fast-forward jump, so a run that finished under it steps
+/// exactly as it would under any larger one.
+fn is_baseline_on(run: &AdmissionRun, machine: &SimConfig) -> bool {
+    run.report.finished
+        && run.sim.max_cycles <= machine.max_cycles
+        && SimConfig {
+            max_cycles: machine.max_cycles,
+            ..run.sim
+        } == *machine
 }
 
 /// Merges shard atlas outputs: the gen-spec echoes and admission blocks

@@ -12,22 +12,33 @@
 //!    (an `Arc`, not a copy) plus those trees and that table, so every
 //!    core finished from one base holds the same profile, critical-path
 //!    cost functions and baseline run.
-//! 3. **Simulations** (structural key × selection signature) — any two
-//!    cells that select the same p-threads on the same machine share one
-//!    deterministic timing run.
+//! 3. **Timing runs** (program fingerprint × machine × p-thread set; the
+//!    baseline is the empty set) — every timing run of the process goes
+//!    through this one memo: a base's baseline, every evaluated
+//!    selection, adapt's interval curves and the runs atlas admission
+//!    already checked. An entry keeps the run's [`SimReport`] and the
+//!    interval log recorded at [`DEFAULT_STRIDE`] during the run that
+//!    filled it, so one selection on one machine is simulated exactly
+//!    once per process. The persistent store, when attached, sits behind
+//!    it under unchanged keys.
 //!
 //! Results are bit-identical to the serial path: every cell is computed
 //! independently from the same deterministic inputs and collected in
 //! submission order, so thread scheduling can reorder *work* but never
 //! *output* (`tests/golden.rs` and the property suite enforce this).
 
+use crate::adapt::DEFAULT_STRIDE;
 use crate::experiments::BenchEval;
 use crate::metrics::{Metrics, Stage};
-use crate::setup::{ExpConfig, Prepared, PreparedBase, PreparedCore, TargetResult};
+use crate::setup::{
+    timed_run, versioned, ExpConfig, Prepared, PreparedBase, PreparedCore, TargetResult,
+    MODEL_VERSION,
+};
 use preexec_campaign::Store;
+use preexec_isa::Program;
 use preexec_json::ToJson;
-use preexec_sim::SimReport;
-use pthsel::SelectionTarget;
+use preexec_sim::{IntervalSnapshot, SimConfig, SimReport};
+use pthsel::{PThread, SelectionTarget};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -58,6 +69,38 @@ fn memo<T>(map: &SlotMap<T>, key: String, build: impl FnOnce() -> T) -> (Arc<T>,
     (value.clone(), hit)
 }
 
+/// One memoized timing run.
+struct SimRun {
+    /// The run's report.
+    report: SimReport,
+    /// The interval log recorded at [`DEFAULT_STRIDE`] during the run;
+    /// `None` when the report was served by the persistent store, which
+    /// keeps reports only.
+    intervals: Option<Vec<IntervalSnapshot>>,
+}
+
+/// The memo key of a timing run: exactly the simulator's inputs. It names
+/// the binary by its content fingerprint, not the program name, so
+/// distinct names emitting identical binaries (generated scenarios at
+/// degenerate knob corners) share one run.
+fn run_key(fingerprint: &str, sim: &SimConfig, pthreads: &[PThread]) -> String {
+    format!("pf{fingerprint}|{sim:?}|{pthreads:?}")
+}
+
+/// The persistent-store key of the same run, as older builds wrote it:
+/// a baseline under [`PreparedBase::baseline_key_for`], a run with
+/// p-threads under `sim|` and its memo key.
+fn store_key(fingerprint: &str, sim: &SimConfig, pthreads: &[PThread]) -> String {
+    if pthreads.is_empty() {
+        PreparedBase::baseline_key_for(fingerprint, sim)
+    } else {
+        versioned(
+            MODEL_VERSION,
+            &format!("sim|{}", run_key(fingerprint, sim, pthreads)),
+        )
+    }
+}
+
 /// Where engine progress lines go: any thread-safe callback (stderr for
 /// the CLI, the event bus for the server).
 pub type ProgressSink = Arc<dyn Fn(&str) + Send + Sync>;
@@ -70,18 +113,18 @@ pub struct Engine {
     bases: SlotMap<PreparedBase>,
     /// Full cores by [`PreparedCore::structural_key`].
     cache: SlotMap<PreparedCore>,
-    /// Optimized-run reports by (structural key, selection signature):
-    /// the timing simulator is deterministic, so one selection on one
-    /// machine is simulated exactly once per process.
-    sims: SlotMap<SimReport>,
+    /// Timing runs by (program fingerprint, machine, p-thread set)
+    /// ([`run_key`]): the timing simulator is deterministic, so one
+    /// selection on one machine is simulated exactly once per process.
+    sims: SlotMap<SimRun>,
     /// Experiment-owned memoized values (e.g. the branch-study pipeline),
     /// type-erased so the engine stays decoupled from experiment types.
     aux: SlotMap<Box<dyn std::any::Any + Send + Sync>>,
-    /// Persistent on-disk extension of the sim-run layers: baseline and
-    /// optimized timing runs are probed here before simulating and
-    /// written back after, so results survive the process and are shared
-    /// across shards. Reports round-trip JSON exactly, so a store-served
-    /// run is bit-identical to a fresh one.
+    /// Persistent on-disk extension of the timing-run memo: a run is
+    /// probed here before simulating and written back after, so results
+    /// survive the process and are shared across shards. Reports
+    /// round-trip JSON exactly, so a store-served run is bit-identical to
+    /// a fresh one.
     store: Option<Arc<Store>>,
     metrics: Metrics,
     sink: Option<ProgressSink>,
@@ -230,17 +273,13 @@ impl Engine {
     ) {
         let mut side = None;
         let (base, hit) = memo(&self.bases, PreparedBase::base_key(name, cfg), || {
-            let mut fresh = false;
-            let (base, trace, ann) = PreparedBase::build(name, cfg, &self.metrics, |fingerprint| {
-                let stored =
-                    self.store_load_report(&PreparedBase::baseline_key_for(fingerprint, cfg));
-                fresh = stored.is_none();
-                stored
-            });
-            if fresh {
-                let key = PreparedBase::baseline_key_for(&base.fingerprint, cfg);
-                self.store_save_report(&key, &base.baseline);
-            }
+            let (base, trace, ann) =
+                PreparedBase::build(name, cfg, &self.metrics, |program, fingerprint| {
+                    self.run(program, fingerprint, &cfg.sim, &[])
+                        .0
+                        .report
+                        .clone()
+                });
             side = Some((trace, ann));
             base
         });
@@ -250,6 +289,84 @@ impl Engine {
             self.metrics.add_base_miss();
         }
         (base, side)
+    }
+
+    /// The timing run of `program` (content `fingerprint`) on `sim` with
+    /// `pthreads` installed: from the memo, else from the store, else
+    /// simulated with the interval log on at [`DEFAULT_STRIDE`] and
+    /// written to the store. Returns the run and whether the memo served
+    /// it.
+    fn run(
+        &self,
+        program: &Program,
+        fingerprint: &str,
+        sim: &SimConfig,
+        pthreads: &[PThread],
+    ) -> (Arc<SimRun>, bool) {
+        memo(&self.sims, run_key(fingerprint, sim, pthreads), || {
+            let key = store_key(fingerprint, sim, pthreads);
+            if let Some(report) = self.store_load_report(&key) {
+                return SimRun {
+                    report,
+                    intervals: None,
+                };
+            }
+            let (report, intervals) =
+                timed_run(&self.metrics, program, sim, pthreads, DEFAULT_STRIDE);
+            self.store_save_report(&key, &report);
+            SimRun {
+                report,
+                intervals: Some(intervals),
+            }
+        })
+    }
+
+    /// Hands `f` the interval log of the timing run of `prep`'s program
+    /// with `pthreads` installed, at `stride` cycles. The memoized run's
+    /// own log serves when `stride` is [`DEFAULT_STRIDE`]; a store-served
+    /// run, or another stride, costs one more timing run with the log on
+    /// (metered like any other).
+    pub(crate) fn with_intervals<T>(
+        &self,
+        prep: &Prepared,
+        pthreads: &[PThread],
+        stride: u64,
+        f: impl FnOnce(&[IntervalSnapshot]) -> T,
+    ) -> T {
+        let (run, _) = self.run(&prep.program, &prep.fingerprint, &prep.cfg.sim, pthreads);
+        match &run.intervals {
+            Some(intervals) if stride == DEFAULT_STRIDE => f(intervals),
+            _ => f(&timed_run(
+                &self.metrics,
+                &prep.program,
+                &prep.cfg.sim,
+                pthreads,
+                stride,
+            )
+            .1),
+        }
+    }
+
+    /// Adopts a baseline run made and checked elsewhere (atlas
+    /// admission's `default` differential) as the memo entry for the
+    /// binary with content `fingerprint` on `sim`, and writes it to the
+    /// store. The caller vouches that it is the run the simulator would
+    /// make there, its log recorded at [`DEFAULT_STRIDE`]. An entry that
+    /// already exists is kept.
+    pub(crate) fn adopt_baseline(
+        &self,
+        fingerprint: &str,
+        sim: &SimConfig,
+        report: SimReport,
+        intervals: Vec<IntervalSnapshot>,
+    ) {
+        memo(&self.sims, run_key(fingerprint, sim, &[]), || {
+            self.store_save_report(&store_key(fingerprint, sim, &[]), &report);
+            SimRun {
+                report,
+                intervals: Some(intervals),
+            }
+        });
     }
 
     /// Selects for `target` and simulates, with both stages metered. The
@@ -264,33 +381,18 @@ impl Engine {
             self.metrics.add_sim_hit();
             prep.baseline.clone()
         } else {
-            // Keyed on the binary's content fingerprint, the machine, and
-            // the installed p-threads — exactly the simulator's inputs —
-            // so distinct names emitting identical binaries (generated
-            // scenarios at degenerate knob corners) share one run.
-            let sim_key = format!(
-                "pf{}|{:?}|{:?}",
-                prep.fingerprint, prep.cfg.sim, selection.pthreads,
+            let (run, hit) = self.run(
+                &prep.program,
+                &prep.fingerprint,
+                &prep.cfg.sim,
+                &selection.pthreads,
             );
-            let store_key =
-                crate::setup::versioned(crate::setup::MODEL_VERSION, &format!("sim|{sim_key}"));
-            let (report, hit) = memo(&self.sims, sim_key, || {
-                if let Some(stored) = self.store_load_report(&store_key) {
-                    return stored;
-                }
-                let report = self
-                    .metrics
-                    .time(Stage::OptSim, || prep.run_with(&selection));
-                self.metrics.add_sim_cycles(report.cycles);
-                self.store_save_report(&store_key, &report);
-                report
-            });
             if hit {
                 self.metrics.add_sim_hit();
             } else {
                 self.metrics.add_sim_miss();
             }
-            (*report).clone()
+            run.report.clone()
         };
         self.metrics.add_cell();
         self.say(|| {

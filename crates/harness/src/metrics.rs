@@ -73,6 +73,7 @@ pub struct Metrics {
     trace_insts: AtomicU64,
     slice_nodes: AtomicU64,
     sim_cycles: AtomicU64,
+    admission_runs: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     base_hits: AtomicU64,
@@ -134,6 +135,12 @@ impl Metrics {
         self.sim_cycles.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Adds pipeline runs the atlas admission gate made. They are checked
+    /// against the oracle rather than metered as a stage.
+    pub fn add_admission_runs(&self, n: u64) {
+        self.admission_runs.fetch_add(n, Ordering::Relaxed);
+    }
+
     /// Records a `Prepared`-cache hit.
     pub fn add_cache_hit(&self) {
         self.cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -189,6 +196,22 @@ impl Metrics {
     /// Records one evaluated (benchmark × config × target) cell.
     pub fn add_cell(&self) {
         self.cells.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Calls of `stage` so far.
+    pub fn stage_calls(&self, stage: Stage) -> u64 {
+        self.stages[stage.index()].calls.load(Ordering::Relaxed)
+    }
+
+    /// Engine timing runs so far: every one is a call of
+    /// [`Stage::BaselineSim`] or [`Stage::OptSim`].
+    pub fn sim_runs(&self) -> u64 {
+        self.stage_calls(Stage::BaselineSim) + self.stage_calls(Stage::OptSim)
+    }
+
+    /// Pipeline runs the atlas admission gate made so far.
+    pub fn admission_runs(&self) -> u64 {
+        self.admission_runs.load(Ordering::Relaxed)
     }
 
     /// `Prepared`-cache hits so far.
@@ -273,6 +296,7 @@ impl Metrics {
                     .with("trace_insts", self.trace_insts.load(Ordering::Relaxed))
                     .with("slice_nodes", self.slice_nodes.load(Ordering::Relaxed))
                     .with("sim_cycles", self.sim_cycles.load(Ordering::Relaxed))
+                    .with("admission_runs", self.admission_runs())
                     .with("cells", self.cells()),
             )
             .with(

@@ -16,13 +16,13 @@ use crate::metrics::{Metrics, Stage};
 use preexec_critpath::{Breakdown, CritPathConfig, CritPathModel, LoadCost};
 use preexec_energy::EnergyConfig;
 use preexec_isa::Program;
-use preexec_sim::{SimConfig, SimReport, Simulator};
+use preexec_sim::{IntervalSnapshot, SimConfig, SimReport, Simulator};
 use preexec_slicer::{SliceConfig, SliceTree};
 use preexec_trace::{FuncSim, MemAnnotation, Profile, Trace};
 use preexec_workloads::InputSet;
 use pthsel::{
-    select, AppParams, CandidateTable, EnergyParams, MachineParams, Selection, SelectionTarget,
-    SelectorInputs,
+    select, AppParams, CandidateTable, EnergyParams, MachineParams, PThread, Selection,
+    SelectionTarget, SelectorInputs,
 };
 use std::sync::Arc;
 
@@ -87,6 +87,36 @@ pub fn program_fingerprint(program: &Program) -> String {
         let _ = writeln!(text, "{addr} {value}");
     }
     preexec_campaign::content_hash(&text)
+}
+
+/// One metered timing run of `program` on `sim` with `pthreads`
+/// installed. Its wall-clock and call go to [`Stage::BaselineSim`] for the
+/// empty set and to [`Stage::OptSim`] otherwise, so those two stages'
+/// calls count every timing run. The interval log is recorded at
+/// `log_stride` cycles (`0` turns it off, and the log comes back empty);
+/// it leaves the report byte-identical.
+pub(crate) fn timed_run(
+    m: &Metrics,
+    program: &Program,
+    sim: &SimConfig,
+    pthreads: &[PThread],
+    log_stride: u64,
+) -> (SimReport, Vec<IntervalSnapshot>) {
+    let stage = if pthreads.is_empty() {
+        Stage::BaselineSim
+    } else {
+        Stage::OptSim
+    };
+    let (report, intervals) = m.time(stage, || {
+        let mut run = Simulator::new(program, *sim).with_pthreads(pthreads);
+        if log_stride != 0 {
+            run = run.with_interval_log(log_stride);
+        }
+        let report = run.run();
+        (report, run.intervals().to_vec())
+    });
+    m.add_sim_cycles(report.cycles);
+    (report, intervals)
 }
 
 /// Experiment-wide configuration.
@@ -204,12 +234,12 @@ impl PreparedBase {
     /// [`PreparedCore::from_base`], sparing the slicing stage its
     /// (deterministic, hence bit-identical) trace replay.
     ///
-    /// `stored` is asked for the baseline run by the run binary's
-    /// [`program_fingerprint`] (a persistent-store probe under
-    /// [`PreparedBase::baseline_key_for`]); a report it returns is used
-    /// instead of simulating. The simulator is deterministic in the binary
-    /// and the machine, so the reused report is bit-identical to the one
-    /// this function would compute.
+    /// `baseline` supplies the baseline timing run, given the run binary
+    /// and its [`program_fingerprint`]. The engine serves it from its
+    /// memo of timing runs, then its persistent store, and simulates only
+    /// on a miss; [`Prepared::build`] simulates. The simulator is
+    /// deterministic in the binary and the machine, so either way the
+    /// report is bit-identical.
     ///
     /// # Panics
     ///
@@ -218,7 +248,7 @@ impl PreparedBase {
         name: &str,
         cfg: &ExpConfig,
         m: &Metrics,
-        stored: impl FnOnce(&str) -> Option<SimReport>,
+        baseline: impl FnOnce(&Program, &str) -> SimReport,
     ) -> (PreparedBase, Trace, MemAnnotation) {
         let (profile_prog, run_prog) = m.time(Stage::WorkloadBuild, || {
             let p = build_program(name, cfg.profile_input)
@@ -252,15 +282,8 @@ impl PreparedBase {
             (costs, cp.breakdown(), cp.ipc())
         });
 
-        // Baseline timing run on the run input (skipped when a stored
-        // replay exists).
-        let baseline = stored(&fingerprint).unwrap_or_else(|| {
-            let baseline = m.time(Stage::BaselineSim, || {
-                Simulator::new(&run_prog, cfg.sim).run()
-            });
-            m.add_sim_cycles(baseline.cycles);
-            baseline
-        });
+        // Baseline timing run on the run input.
+        let baseline = baseline(&run_prog, &fingerprint);
 
         let base = PreparedBase {
             name: name.to_string(),
@@ -302,11 +325,8 @@ impl PreparedBase {
     /// a machine shares the stored run. Keying on content rather than name
     /// is what dedupes generated scenarios whose knob points emit
     /// identical programs.
-    pub fn baseline_key_for(fingerprint: &str, cfg: &ExpConfig) -> String {
-        versioned(
-            MODEL_VERSION,
-            &format!("baseline|pf{fingerprint}|{:?}", cfg.sim),
-        )
+    pub fn baseline_key_for(fingerprint: &str, sim: &SimConfig) -> String {
+        versioned(MODEL_VERSION, &format!("baseline|pf{fingerprint}|{sim:?}"))
     }
 
     /// `BWSEQmt` (equation L6), the unoptimized IPC: measured from the
@@ -459,7 +479,9 @@ impl Prepared {
         let metrics = Metrics::new();
         // The trace is dropped and replayed, as for a cache-served base,
         // so comparing this path with the engine's also checks the replay.
-        let (base, _, _) = PreparedBase::build(name, cfg, &metrics, |_| None);
+        let (base, _, _) = PreparedBase::build(name, cfg, &metrics, |program, _| {
+            timed_run(&metrics, program, &cfg.sim, &[], 0).0
+        });
         let core = PreparedCore::from_base(Arc::new(base), cfg, &metrics, None);
         Prepared::from_core(Arc::new(core), cfg)
     }
@@ -606,7 +628,7 @@ mod tests {
         for key in [
             PreparedCore::structural_key("gap", &cfg),
             PreparedBase::base_key("gap", &cfg),
-            PreparedBase::baseline_key_for("0123abcd", &cfg),
+            PreparedBase::baseline_key_for("0123abcd", &cfg.sim),
         ] {
             assert!(key.starts_with(&prefix), "unversioned key {key:?}");
         }

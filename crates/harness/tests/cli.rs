@@ -67,8 +67,8 @@ fn malformed_and_foreign_flags_are_usage_errors() {
         &["serve", "--workers", "x"],
         &["serve", "--deadline-ms", "soon"],
         &["serve", "--points", "5"],
-        &["coordinate", "--addr", "not-an-address"],
-        &["work", "--addr", "127.0.0.1:1"],
+        &["serve", "--queue", "x"],
+        &["loadgen", "--requests", "x"],
         &["loadgen", "--conns", "x"],
         &["loadgen", "--endpoint", "nope"],
         &["loadgen", "--body-file", "/nonexistent/body.json"],

@@ -15,7 +15,7 @@
 use crate::{ArchState, Oracle};
 use preexec_isa::Program;
 use preexec_mem::TlbConfig;
-use preexec_sim::{SimConfig, Simulator, SpawnPoint};
+use preexec_sim::{IntervalSnapshot, SimConfig, SimReport, Simulator, SpawnPoint};
 use pthsel::PThread;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -135,19 +135,48 @@ pub fn check_equivalence(
     cfg: &SimConfig,
     label: &str,
 ) -> Result<(), String> {
+    let oracle = oracle_state(program, label)?;
+    check_run(program, &oracle, pthreads, cfg, label, 0).map(|_| ())
+}
+
+/// The oracle's final state of `program`: the reference every pipeline
+/// run of it is checked against. Architectural state does not depend on
+/// the machine or the p-thread set, so one oracle run serves them all.
+/// Fails when the oracle hits [`ORACLE_INST_CAP`].
+pub fn oracle_state(program: &Program, label: &str) -> Result<ArchState, String> {
     let oracle = Oracle::run_state(program, ORACLE_INST_CAP);
     if !oracle.halted {
         return Err(format!(
             "[{label}] oracle hit the {ORACLE_INST_CAP}-instruction cap; program may not terminate"
         ));
     }
+    Ok(oracle)
+}
+
+/// The pipeline half of [`check_equivalence`]: runs `program` under `cfg`
+/// with `pthreads` installed and checks it against the `oracle` state
+/// ([`oracle_state`]). A run that passes is handed back: its report and,
+/// when `log_stride` is nonzero, its interval log at that stride (empty
+/// otherwise). The log leaves the report byte-identical.
+pub fn check_run(
+    program: &Program,
+    oracle: &ArchState,
+    pthreads: &[PThread],
+    cfg: &SimConfig,
+    label: &str,
+    log_stride: u64,
+) -> Result<(SimReport, Vec<IntervalSnapshot>), String> {
     let cfg = *cfg;
     let ran = catch_unwind(AssertUnwindSafe(|| {
         let mut sim = Simulator::new(program, cfg).with_pthreads(pthreads);
+        if log_stride != 0 {
+            sim = sim.with_interval_log(log_stride);
+        }
         let report = sim.run();
-        (report, sim.spec_regs(), sim.spec_mem())
+        let intervals = sim.intervals().to_vec();
+        (report, intervals, sim.spec_regs(), sim.spec_mem())
     }));
-    let (report, regs, mem) = match ran {
+    let (report, intervals, regs, mem) = match ran {
         Ok(t) => t,
         Err(payload) => {
             let msg = payload
@@ -167,14 +196,7 @@ pub fn check_equivalence(
     // Warm-up resets the report mid-run, so `committed` no longer counts
     // every retired instruction; registers and memory stay comparable.
     let skip_committed = cfg.warmup_commits > 0;
-    diff_state(
-        label,
-        &oracle,
-        report.committed,
-        skip_committed,
-        &regs,
-        &mem,
-    )?;
+    diff_state(label, oracle, report.committed, skip_committed, &regs, &mem)?;
     if pthreads.is_empty() {
         let pth_counters = [
             ("pinsts", report.pinsts),
@@ -198,7 +220,7 @@ pub fn check_equivalence(
             }
         }
     }
-    Ok(())
+    Ok((report, intervals))
 }
 
 /// Checks the paper's key invariant on one config: the baseline run and

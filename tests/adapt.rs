@@ -1,11 +1,13 @@
 //! Cross-layer tests of the adaptive W controller (`preexec-controller`
 //! plus `preexec_harness::adapt`): the controller can never install an
 //! ill-formed p-thread set (every installed selection passes the static
-//! analyzer and the oracle differential), and the full report is
-//! deterministic across independent engines.
+//! analyzer and the oracle differential), the full report is
+//! deterministic across independent engines, and the controller's
+//! interval curves cost no timing run of their own.
 
 use preexec::analysis;
 use preexec::harness::adapt::{run_adapt, AdaptOptions};
+use preexec::harness::campaign::w_grid;
 use preexec::harness::{Engine, ExpConfig};
 use preexec::oracle::diff;
 use preexec::pthsel::SelectionTarget;
@@ -105,4 +107,32 @@ fn report_structure_is_sound() {
     if b.within {
         assert!(b.final_regret <= report.epsilon);
     }
+}
+
+/// Adapt makes one timing run per distinct p-thread set it installs (the
+/// baseline is the empty set): its interval curves read the logs the
+/// engine recorded during the sweep's and the probes' own runs.
+#[test]
+fn adapt_simulates_each_distinct_selection_once() {
+    let cfg = ExpConfig::default();
+    let engine = Engine::new(2);
+    let opts = small_opts(&["gap"]);
+    let report = run_adapt(&engine, &cfg, &opts);
+    let runs = engine.metrics().sim_runs();
+
+    let prep = engine.prepared("gap", &cfg);
+    let probed = report.benches[0]
+        .decisions
+        .iter()
+        .flat_map(|d| d.probed_ws.iter().copied());
+    let mut sets = std::collections::HashSet::from([String::from("[]")]);
+    for w in w_grid(opts.points).into_iter().chain(probed) {
+        let pthreads = prep.select(SelectionTarget::Weighted(w)).pthreads;
+        sets.insert(format!("{pthreads:?}"));
+    }
+    assert_eq!(
+        runs,
+        sets.len() as u64,
+        "timing runs vs. distinct p-thread sets (baseline included)"
+    );
 }

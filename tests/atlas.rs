@@ -9,7 +9,8 @@
 use preexec::campaign::Store;
 use preexec::gen::{build_scenario, emit_text, GenSpec, Scenario};
 use preexec::harness::atlas::{merge_atlas, run_atlas, AtlasOptions};
-use preexec::harness::{campaign, program_fingerprint, Engine, ExpConfig};
+use preexec::harness::{campaign, program_fingerprint, Engine, ExpConfig, Stage};
+use preexec::pthsel::SelectionTarget;
 use preexec_json::ToJson;
 use std::path::PathBuf;
 
@@ -170,5 +171,70 @@ fn identical_generated_programs_share_one_store_entry() {
         assert_eq!(ca.w, cb.w);
         assert_eq!(ca.cycles, cb.cycles, "w={}", ca.w);
         assert_eq!(ca.energy, cb.energy, "w={}", ca.w);
+    }
+}
+
+/// An atlas simulates each distinct (program, machine, p-thread set) at
+/// most once, and no baseline at all: admission's checked `default` run
+/// is the baseline of every cell, so beyond the distinct runs the only
+/// pipeline runs are admission's `tiny-mem-tlb` checks. Scenarios that
+/// build one program share its runs by fingerprint.
+#[test]
+fn atlas_simulates_each_distinct_run_once() {
+    let distinct = small_atlas();
+    let mut identical = small_atlas();
+    identical.spec.miss_rate = vec![0.0];
+    identical.spec.miss_clustering = vec![0.0, 0.7];
+    for (label, opts, programs) in [("distinct", distinct, 2), ("identical", identical, 1)] {
+        let engine = Engine::new(2);
+        let cfg = ExpConfig::default();
+        let atlas = run_atlas(&engine, &cfg, &opts).unwrap();
+        let scenarios = atlas.admission.admitted;
+
+        let mut baselines = std::collections::HashSet::new();
+        let mut runs = std::collections::HashSet::new();
+        for name in opts.spec.scenarios().unwrap().iter().map(Scenario::name) {
+            for &ml in &opts.mem_latencies {
+                let mut cell = cfg;
+                cell.sim = cell.sim.with_mem_latency(ml);
+                let prep = engine.prepared(&name, &cell);
+                baselines.insert(format!("{}|{ml}", prep.fingerprint));
+                runs.insert(format!("{}|{ml}|[]", prep.fingerprint));
+                for w in campaign::w_grid(opts.points) {
+                    for &idle in &opts.idle_factors {
+                        cell.energy = cell.energy.with_idle_factor(idle);
+                        let pthreads = engine
+                            .prepared(&name, &cell)
+                            .select(SelectionTarget::Weighted(w))
+                            .pthreads;
+                        runs.insert(format!("{}|{ml}|{pthreads:?}", prep.fingerprint));
+                    }
+                }
+            }
+        }
+        let m = engine.metrics();
+        assert_eq!(
+            baselines.len(),
+            programs,
+            "{label}: programs by fingerprint"
+        );
+        assert_eq!(
+            m.stage_calls(Stage::BaselineSim),
+            0,
+            "{label}: baselines adopted"
+        );
+        assert_eq!(m.admission_runs(), 2 * scenarios, "{label}: admission runs");
+        assert_eq!(
+            m.sim_runs(),
+            (runs.len() - baselines.len()) as u64,
+            "{label}: timing runs vs. distinct runs less the adopted baselines"
+        );
+        if programs == scenarios as usize {
+            assert_eq!(
+                m.sim_runs() + m.admission_runs(),
+                runs.len() as u64 + scenarios,
+                "{label}: one run per distinct key plus admission's tiny-mem-tlb runs"
+            );
+        }
     }
 }
