@@ -229,12 +229,5 @@ fn atlas_simulates_each_distinct_run_once() {
             (runs.len() - baselines.len()) as u64,
             "{label}: timing runs vs. distinct runs less the adopted baselines"
         );
-        if programs == scenarios as usize {
-            assert_eq!(
-                m.sim_runs() + m.admission_runs(),
-                runs.len() as u64 + scenarios,
-                "{label}: one run per distinct key plus admission's tiny-mem-tlb runs"
-            );
-        }
     }
 }
