@@ -1,6 +1,7 @@
 //! Criticality-based load cost functions.
 
 use preexec_isa::Pc;
+use preexec_json::impl_json_object;
 
 /// The latency-reduction → execution-time-reduction function for one
 /// static problem load, per §4.1 of the paper.
@@ -20,6 +21,16 @@ pub struct LoadCost {
     /// in the first coordinate, starting at `(0, 0)`.
     points: Vec<(f64, f64)>,
 }
+
+// The written form carries every field, so a decoded cost is the same
+// function bit for bit (`preexec_json` writes floats in shortest
+// round-trip form).
+impl_json_object!(LoadCost {
+    pc,
+    misses,
+    tol_max,
+    points,
+} decode, check = LoadCost::check);
 
 impl LoadCost {
     /// A cost function that is identically zero (a load with no misses).
@@ -50,16 +61,28 @@ impl LoadCost {
     /// Panics if `points` is empty or not ascending in the first
     /// coordinate.
     pub fn from_points(pc: Pc, misses: u64, tol_max: f64, points: Vec<(f64, f64)>) -> LoadCost {
-        assert!(!points.is_empty(), "need at least one sample");
-        for w in points.windows(2) {
-            assert!(w[0].0 <= w[1].0, "samples must ascend in tolerated cycles");
-        }
-        LoadCost {
+        let cost = LoadCost {
             pc,
             misses,
             tol_max,
             points,
+        };
+        if let Err(e) = cost.check() {
+            panic!("{e}");
         }
+        cost
+    }
+
+    /// The rules [`LoadCost::from_points`] enforces, also run on every
+    /// decoded cost: at least one sample, ascending in tolerated cycles.
+    fn check(&self) -> Result<(), String> {
+        if self.points.is_empty() {
+            return Err("LoadCost: need at least one sample".into());
+        }
+        if self.points.windows(2).any(|w| w[0].0 > w[1].0) {
+            return Err("LoadCost: samples must ascend in tolerated cycles".into());
+        }
+        Ok(())
     }
 
     /// Static PC of the load this function describes.
@@ -70,6 +93,12 @@ impl LoadCost {
     /// Number of dynamic L2 misses observed for this load.
     pub fn misses(&self) -> u64 {
         self.misses
+    }
+
+    /// The `(tolerated cycles, per-miss gain)` samples, ascending in
+    /// tolerated cycles.
+    pub fn points(&self) -> &[(f64, f64)] {
+        &self.points
     }
 
     /// The full tolerable latency of one miss in cycles.
@@ -153,6 +182,21 @@ mod tests {
     #[should_panic(expected = "ascend")]
     fn non_ascending_points_panic() {
         let _ = LoadCost::from_points(1, 5, 200.0, vec![(0.0, 0.0), (100.0, 1.0), (50.0, 2.0)]);
+    }
+
+    #[test]
+    fn json_round_trip_is_exact_and_checked() {
+        use preexec_json::{parse, ToJson};
+        let c = LoadCost::from_points(3, 8, 180.0, vec![(0.0, -0.0), (45.0, 12.5)]);
+        let back = LoadCost::from_json(&parse(&c.to_json().to_string()).unwrap()).unwrap();
+        assert_eq!(back, c);
+        assert!(back.points[0].1.is_sign_negative());
+        let descending = r#"{"pc":3,"misses":8,"tol_max":1.0,"points":[[2.0,0.0],[1.0,0.0]]}"#;
+        assert!(LoadCost::from_json(&parse(descending).unwrap())
+            .unwrap_err()
+            .contains("ascend"));
+        let empty = r#"{"pc":3,"misses":8,"tol_max":1.0,"points":[]}"#;
+        assert!(LoadCost::from_json(&parse(empty).unwrap()).is_err());
     }
 
     #[test]

@@ -11,6 +11,7 @@
 
 use crate::CritPathConfig;
 use preexec_isa::InstClass;
+use preexec_json::impl_json_object;
 use preexec_mem::Level;
 use preexec_trace::Trace;
 use std::fmt;
@@ -70,6 +71,14 @@ pub struct Breakdown {
     /// Memory latency.
     pub mem: f64,
 }
+
+impl_json_object!(Breakdown {
+    fetch,
+    commit,
+    exec,
+    l2,
+    mem,
+} decode);
 
 impl Breakdown {
     /// Total cycles across categories (equals the critical-path length).

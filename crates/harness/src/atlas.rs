@@ -26,6 +26,7 @@ use crate::table::{ratio, TextTable};
 use preexec_gen::{admit_runs, build_scenario, AdmissionRun, GenSpec};
 use preexec_json::{impl_json_object, Json};
 use preexec_sim::SimConfig;
+use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
 
@@ -200,14 +201,36 @@ pub fn run_atlas(
 ) -> Result<AtlasResult, String> {
     let scenarios = opts.spec.scenarios()?;
     engine.say(|| format!("atlas: admitting {} generated scenarios", scenarios.len()));
-    // Admission builds each scenario and runs the `preexec-gen` gate
-    // (lint + oracle differential) on the engine's pool, in grid order.
-    let verdicts = engine.par_map(scenarios.iter().collect(), |s| {
-        let program = build_scenario(s)?;
-        let runs = admit_runs(&program, DEFAULT_STRIDE)?;
-        Ok((program_fingerprint(&program), runs))
+    // Admission fingerprints each scenario, then runs the `preexec-gen`
+    // gate (lint + oracle differential) once per distinct program, on the
+    // engine's pool in grid order. Scenarios that build one program
+    // (degenerate knob corners) share its verdict. The first pass keeps
+    // fingerprints only and the second rebuilds each program it admits,
+    // so the pool holds no more programs at once than it has workers.
+    let fingerprints = engine.par_map(scenarios.iter().collect(), |s| {
+        build_scenario(s).map(|program| program_fingerprint(&program))
     });
-    let failures: Vec<&String> = verdicts.iter().filter_map(|v| v.as_ref().err()).collect();
+    let mut firsts: HashMap<&str, usize> = HashMap::new();
+    let mut distinct = Vec::new();
+    for (scenario, fingerprint) in scenarios.iter().zip(&fingerprints) {
+        if let Ok(fingerprint) = fingerprint {
+            firsts.entry(fingerprint).or_insert_with(|| {
+                distinct.push((scenario, fingerprint));
+                distinct.len() - 1
+            });
+        }
+    }
+    let admitted = engine.par_map(distinct, |(scenario, fingerprint)| {
+        let program = build_scenario(scenario)?;
+        admit_runs(&program, DEFAULT_STRIDE).map(|runs| (fingerprint, runs))
+    });
+    let failures: Vec<&String> = fingerprints
+        .iter()
+        .filter_map(|f| match f {
+            Ok(fingerprint) => admitted[firsts[fingerprint.as_str()]].as_ref().err(),
+            Err(e) => Some(e),
+        })
+        .collect();
     if let Some(first) = failures.first() {
         return Err(format!(
             "atlas admission failed for {} of {} scenarios; first: {first}",
@@ -222,12 +245,12 @@ pub fn run_atlas(
         .iter()
         .map(|&ml| base.sim.with_mem_latency(ml))
         .collect();
-    for (fingerprint, runs) in verdicts.into_iter().flatten() {
+    for (fingerprint, runs) in admitted.into_iter().flatten() {
         engine.metrics().add_admission_runs(runs.len() as u64);
         for run in runs {
             for machine in machines.iter().filter(|m| is_baseline_on(&run, m)) {
                 engine.adopt_baseline(
-                    &fingerprint,
+                    fingerprint,
                     machine,
                     run.report.clone(),
                     run.intervals.clone(),

@@ -21,6 +21,12 @@
 //!    filled it, so one selection on one machine is simulated exactly
 //!    once per process. The persistent store, when attached, sits behind
 //!    it under unchanged keys.
+//! 4. **Critical-path outputs** ([`PreparedBase::critpath_key`]: profile
+//!    binary fingerprint × trace cap × hierarchy × model machine ×
+//!    problem loads) — a base's cost functions, breakdown and IPC
+//!    estimate, so a warm `--store` run skips the critical-path model.
+//!    The persistent store sits behind this memo too, with its own
+//!    hit/miss counters.
 //!
 //! Results are bit-identical to the serial path: every cell is computed
 //! independently from the same deterministic inputs and collected in
@@ -31,8 +37,8 @@ use crate::adapt::DEFAULT_STRIDE;
 use crate::experiments::BenchEval;
 use crate::metrics::{Metrics, Stage};
 use crate::setup::{
-    timed_run, versioned, ExpConfig, Prepared, PreparedBase, PreparedCore, TargetResult,
-    MODEL_VERSION,
+    timed_run, versioned, CritPathOutput, ExpConfig, Prepared, PreparedBase, PreparedCore,
+    TargetResult, MODEL_VERSION,
 };
 use preexec_campaign::Store;
 use preexec_isa::Program;
@@ -117,14 +123,17 @@ pub struct Engine {
     /// ([`run_key`]): the timing simulator is deterministic, so one
     /// selection on one machine is simulated exactly once per process.
     sims: SlotMap<SimRun>,
+    /// Critical-path outputs by [`PreparedBase::critpath_key`], which is
+    /// also their store key.
+    critpaths: SlotMap<CritPathOutput>,
     /// Experiment-owned memoized values (e.g. the branch-study pipeline),
     /// type-erased so the engine stays decoupled from experiment types.
     aux: SlotMap<Box<dyn std::any::Any + Send + Sync>>,
-    /// Persistent on-disk extension of the timing-run memo: a run is
-    /// probed here before simulating and written back after, so results
-    /// survive the process and are shared across shards. Reports
-    /// round-trip JSON exactly, so a store-served run is bit-identical to
-    /// a fresh one.
+    /// Persistent on-disk extension of the timing-run and critical-path
+    /// memos: an entry is probed here before computing and written back
+    /// after, so results survive the process and are shared across
+    /// shards. Both kinds round-trip JSON exactly, so a store-served
+    /// entry is bit-identical to a fresh one.
     store: Option<Arc<Store>>,
     metrics: Metrics,
     sink: Option<ProgressSink>,
@@ -139,6 +148,7 @@ impl Engine {
             bases: Mutex::new(HashMap::new()),
             cache: Mutex::new(HashMap::new()),
             sims: Mutex::new(HashMap::new()),
+            critpaths: Mutex::new(HashMap::new()),
             aux: Mutex::new(HashMap::new()),
             store: None,
             metrics: Metrics::new(),
@@ -183,9 +193,10 @@ impl Engine {
         self
     }
 
-    /// Backs the engine's simulation layers with a persistent store:
-    /// baseline and optimized timing runs are served from disk when a
-    /// valid entry exists (a warm start) and persisted when computed.
+    /// Backs the engine's simulation and critical-path layers with a
+    /// persistent store: baseline and optimized timing runs and
+    /// critical-path outputs are served from disk when a valid entry
+    /// exists (a warm start) and persisted when computed.
     pub fn with_store(mut self, store: Arc<Store>) -> Engine {
         self.store = Some(store);
         self
@@ -273,13 +284,18 @@ impl Engine {
     ) {
         let mut side = None;
         let (base, hit) = memo(&self.bases, PreparedBase::base_key(name, cfg), || {
-            let (base, trace, ann) =
-                PreparedBase::build(name, cfg, &self.metrics, |program, fingerprint| {
+            let (base, trace, ann) = PreparedBase::build(
+                name,
+                cfg,
+                &self.metrics,
+                |key, compute| self.critpath(key, compute),
+                |program, fingerprint| {
                     self.run(program, fingerprint, &cfg.sim, &[])
                         .0
                         .report
                         .clone()
-                });
+                },
+            );
             side = Some((trace, ann));
             base
         });
@@ -289,6 +305,30 @@ impl Engine {
             self.metrics.add_base_miss();
         }
         (base, side)
+    }
+
+    /// The critical-path output under `key`: from the memo, else from the
+    /// store, else computed by `compute` and written to the store. Store
+    /// probes count in their own hit/miss counters, so `store_misses`
+    /// keeps counting timing runs only. An entry that does not decode
+    /// whole is a miss (and corrupt in the store's counters), so it is
+    /// recomputed and overwritten.
+    fn critpath(&self, key: &str, compute: &dyn Fn() -> CritPathOutput) -> CritPathOutput {
+        let (out, _) = memo(&self.critpaths, key.to_string(), || {
+            if let Some(store) = &self.store {
+                if let Some(out) = store.load_as(key, CritPathOutput::from_json) {
+                    self.metrics.add_critpath_store_hit();
+                    return out;
+                }
+                self.metrics.add_critpath_store_miss();
+            }
+            let out = compute();
+            if let Some(store) = &self.store {
+                store.save(key, &out.to_json());
+            }
+            out
+        });
+        (*out).clone()
     }
 
     /// The timing run of `program` (content `fingerprint`) on `sim` with

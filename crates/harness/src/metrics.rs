@@ -84,6 +84,8 @@ pub struct Metrics {
     aux_misses: AtomicU64,
     store_hits: AtomicU64,
     store_misses: AtomicU64,
+    critpath_store_hits: AtomicU64,
+    critpath_store_misses: AtomicU64,
     cells: AtomicU64,
 }
 
@@ -182,15 +184,29 @@ impl Metrics {
         self.aux_misses.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a persistent-store probe that found a usable entry.
+    /// Records a persistent-store probe for a timing run that found a
+    /// usable entry.
     pub fn add_store_hit(&self) {
         self.store_hits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a persistent-store probe that found nothing (the result
-    /// is computed and written back).
+    /// Records a persistent-store probe for a timing run that found
+    /// nothing usable (the run is simulated and written back).
     pub fn add_store_miss(&self) {
         self.store_misses.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records a persistent-store probe for a critical-path output that
+    /// found a usable entry.
+    pub fn add_critpath_store_hit(&self) {
+        self.critpath_store_hits.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records a persistent-store probe for a critical-path output that
+    /// found nothing usable (the model runs and the output is written
+    /// back).
+    pub fn add_critpath_store_miss(&self) {
+        self.critpath_store_misses.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one evaluated (benchmark × config × target) cell.
@@ -254,14 +270,24 @@ impl Metrics {
         self.aux_misses.load(Ordering::Relaxed)
     }
 
-    /// Persistent-store hits so far.
+    /// Persistent-store hits for timing runs so far.
     pub fn store_hits(&self) -> u64 {
         self.store_hits.load(Ordering::Relaxed)
     }
 
-    /// Persistent-store misses so far.
+    /// Persistent-store misses for timing runs so far.
     pub fn store_misses(&self) -> u64 {
         self.store_misses.load(Ordering::Relaxed)
+    }
+
+    /// Persistent-store hits for critical-path outputs so far.
+    pub fn critpath_store_hits(&self) -> u64 {
+        self.critpath_store_hits.load(Ordering::Relaxed)
+    }
+
+    /// Persistent-store misses for critical-path outputs so far.
+    pub fn critpath_store_misses(&self) -> u64 {
+        self.critpath_store_misses.load(Ordering::Relaxed)
     }
 
     /// Evaluated cells so far.
@@ -311,7 +337,9 @@ impl Metrics {
                     .with("aux_hits", self.aux_hits())
                     .with("aux_misses", self.aux_misses())
                     .with("store_hits", self.store_hits())
-                    .with("store_misses", self.store_misses()),
+                    .with("store_misses", self.store_misses())
+                    .with("critpath_store_hits", self.critpath_store_hits())
+                    .with("critpath_store_misses", self.critpath_store_misses()),
             )
     }
 }

@@ -16,6 +16,7 @@ use crate::metrics::{Metrics, Stage};
 use preexec_critpath::{Breakdown, CritPathConfig, CritPathModel, LoadCost};
 use preexec_energy::EnergyConfig;
 use preexec_isa::Program;
+use preexec_json::impl_json_object;
 use preexec_sim::{IntervalSnapshot, SimConfig, SimReport, Simulator};
 use preexec_slicer::{SliceConfig, SliceTree};
 use preexec_trace::{FuncSim, MemAnnotation, Profile, Trace};
@@ -197,6 +198,29 @@ impl ExpConfig {
     }
 }
 
+/// The critical-path stage's output for one profiling binary: the cost
+/// functions of its problem loads, the Fig. 2 breakdown of the
+/// unoptimized run, and the model's IPC estimate. It depends only on the
+/// inputs [`PreparedBase::critpath_key`] names, so the engine keeps it in
+/// its memo and the persistent store; the written form decodes bit for
+/// bit.
+#[derive(Clone, Debug, PartialEq)]
+pub struct CritPathOutput {
+    /// Criticality-based cost functions of the problem loads, in
+    /// selection order.
+    pub costs: Vec<LoadCost>,
+    /// Critical-path breakdown of the unoptimized profiling run.
+    pub breakdown: Breakdown,
+    /// Critical-path IPC estimate.
+    pub ipc: f64,
+}
+
+impl_json_object!(CritPathOutput {
+    costs,
+    breakdown,
+    ipc,
+} decode);
+
 /// The artifacts of one benchmark's preparation that are independent of
 /// *both* the energy constants and the slicing knobs: profiling trace
 /// statistics, critical-path cost functions, and the baseline timing run.
@@ -224,7 +248,7 @@ pub struct PreparedBase {
     /// Content fingerprint of `program` ([`program_fingerprint`]).
     pub fingerprint: String,
     /// Critical-path IPC estimate (fallback for unfinished baselines).
-    cp_ipc: f64,
+    pub cp_ipc: f64,
 }
 
 impl PreparedBase {
@@ -234,12 +258,14 @@ impl PreparedBase {
     /// [`PreparedCore::from_base`], sparing the slicing stage its
     /// (deterministic, hence bit-identical) trace replay.
     ///
-    /// `baseline` supplies the baseline timing run, given the run binary
-    /// and its [`program_fingerprint`]. The engine serves it from its
-    /// memo of timing runs, then its persistent store, and simulates only
-    /// on a miss; [`Prepared::build`] simulates. The simulator is
-    /// deterministic in the binary and the machine, so either way the
-    /// report is bit-identical.
+    /// `critpath` supplies the critical-path stage's output, given its
+    /// [`PreparedBase::critpath_key`] and a thunk that runs the model
+    /// (metered as [`Stage::Critpath`]); `baseline` supplies the baseline
+    /// timing run, given the run binary and its [`program_fingerprint`].
+    /// The engine serves each from its memo, then its persistent store,
+    /// and computes only on a miss; [`Prepared::build`] always computes.
+    /// Both stages are deterministic in the inputs their keys name, so
+    /// either way the artifacts are bit-identical.
     ///
     /// # Panics
     ///
@@ -248,6 +274,7 @@ impl PreparedBase {
         name: &str,
         cfg: &ExpConfig,
         m: &Metrics,
+        critpath: impl FnOnce(&str, &dyn Fn() -> CritPathOutput) -> CritPathOutput,
         baseline: impl FnOnce(&Program, &str) -> SimReport,
     ) -> (PreparedBase, Trace, MemAnnotation) {
         let (profile_prog, run_prog) = m.time(Stage::WorkloadBuild, || {
@@ -275,12 +302,30 @@ impl PreparedBase {
         probs.truncate(cfg.max_problem_loads);
         let problem_pcs: Vec<u32> = probs.iter().map(|pl| pl.pc).collect();
 
-        // Criticality cost functions.
-        let (costs, cp_breakdown, cp_ipc) = m.time(Stage::Critpath, || {
-            let cp = CritPathModel::new(&trace, &ann, cfg.critpath_config());
-            let costs: Vec<LoadCost> = cp.load_costs(&problem_pcs);
-            (costs, cp.breakdown(), cp.ipc())
-        });
+        // Criticality cost functions. Equal inputs build equal binaries,
+        // so the run binary's fingerprint names the profiled one too.
+        let profile_fingerprint = if cfg.profile_input == cfg.run_input {
+            fingerprint.clone()
+        } else {
+            program_fingerprint(&profile_prog)
+        };
+        let CritPathOutput {
+            costs,
+            breakdown: cp_breakdown,
+            ipc: cp_ipc,
+        } = critpath(
+            &PreparedBase::critpath_key(&profile_fingerprint, cfg, &problem_pcs),
+            &|| {
+                m.time(Stage::Critpath, || {
+                    let cp = CritPathModel::new(&trace, &ann, cfg.critpath_config());
+                    CritPathOutput {
+                        costs: cp.load_costs(&problem_pcs),
+                        breakdown: cp.breakdown(),
+                        ipc: cp.ipc(),
+                    }
+                })
+            },
+        );
 
         // Baseline timing run on the run input.
         let baseline = baseline(&run_prog, &fingerprint);
@@ -327,6 +372,25 @@ impl PreparedBase {
     /// identical programs.
     pub fn baseline_key_for(fingerprint: &str, sim: &SimConfig) -> String {
         versioned(MODEL_VERSION, &format!("baseline|pf{fingerprint}|{sim:?}"))
+    }
+
+    /// The memo and persistent-store key of the critical-path stage's
+    /// output for the profiling binary with content `fingerprint`
+    /// ([`program_fingerprint`]): exactly the model's inputs. The trace
+    /// is the binary's first `cfg.trace_cap` instructions, the memory
+    /// annotation follows from it and the cache hierarchy, and the model
+    /// takes its machine from [`ExpConfig::critpath_config`] and the
+    /// problem loads from `problem_pcs`.
+    pub fn critpath_key(fingerprint: &str, cfg: &ExpConfig, problem_pcs: &[u32]) -> String {
+        versioned(
+            MODEL_VERSION,
+            &format!(
+                "critpath|pf{fingerprint}|{}|{:?}|{:?}|{problem_pcs:?}",
+                cfg.trace_cap,
+                cfg.sim.hierarchy,
+                cfg.critpath_config(),
+            ),
+        )
     }
 
     /// `BWSEQmt` (equation L6), the unoptimized IPC: measured from the
@@ -479,9 +543,13 @@ impl Prepared {
         let metrics = Metrics::new();
         // The trace is dropped and replayed, as for a cache-served base,
         // so comparing this path with the engine's also checks the replay.
-        let (base, _, _) = PreparedBase::build(name, cfg, &metrics, |program, _| {
-            timed_run(&metrics, program, &cfg.sim, &[], 0).0
-        });
+        let (base, _, _) = PreparedBase::build(
+            name,
+            cfg,
+            &metrics,
+            |_, compute| compute(),
+            |program, _| timed_run(&metrics, program, &cfg.sim, &[], 0).0,
+        );
         let core = PreparedCore::from_base(Arc::new(base), cfg, &metrics, None);
         Prepared::from_core(Arc::new(core), cfg)
     }
@@ -629,6 +697,7 @@ mod tests {
             PreparedCore::structural_key("gap", &cfg),
             PreparedBase::base_key("gap", &cfg),
             PreparedBase::baseline_key_for("0123abcd", &cfg.sim),
+            PreparedBase::critpath_key("0123abcd", &cfg, &[4, 9]),
         ] {
             assert!(key.starts_with(&prefix), "unversioned key {key:?}");
         }

@@ -67,6 +67,15 @@ fn warm_atlas_replays_the_store_and_the_store_holds_every_baseline() {
     let (warm, warm_metrics) = atlas(&store);
     assert_eq!(warm, cold, "a warm rerun is byte-identical");
     assert_eq!(number(&warm_metrics, &["cache", "store_misses"]), Some(0));
+    assert_eq!(
+        number(&warm_metrics, &["cache", "critpath_store_misses"]),
+        Some(0)
+    );
+    assert_eq!(
+        number(&warm_metrics, &["stages", Stage::Critpath.name(), "calls"]),
+        Some(0),
+        "the warm atlas reads its critical-path outputs from the store"
+    );
 
     let spec = GenSpec {
         seed: 7,

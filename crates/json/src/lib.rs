@@ -309,6 +309,26 @@ from_json_scalar! {
     String => as_str, "a string", "an array of strings";
 }
 
+impl FromJson for u32 {
+    const EXPECTED: &'static str = "a 32-bit unsigned integer";
+    const ARRAY_OF: &'static str = "an array of 32-bit unsigned integers";
+    fn decode(j: &Json) -> Result<Self, Option<String>> {
+        j.as_u64().and_then(|v| u32::try_from(v).ok()).ok_or(None)
+    }
+}
+
+/// The two-element array [`ToJson`] writes for a pair.
+impl<A: FromJson, B: FromJson> FromJson for (A, B) {
+    const EXPECTED: &'static str = "a pair";
+    const ARRAY_OF: &'static str = "an array of pairs";
+    fn decode(j: &Json) -> Result<Self, Option<String>> {
+        match j.as_array() {
+            Some([a, b]) => Ok((A::decode(a)?, B::decode(b)?)),
+            _ => Err(None),
+        }
+    }
+}
+
 impl FromJson for Json {
     const EXPECTED: &'static str = "a JSON value";
     fn decode(j: &Json) -> Result<Self, Option<String>> {
@@ -773,6 +793,19 @@ mod tests {
         assert!(parse(&objects).is_err());
         // Far deeper than any stack allows without the bound.
         assert!(parse(&"[".repeat(100_000)).is_err());
+    }
+
+    #[test]
+    fn pairs_and_u32_decode_strictly() {
+        let pairs = parse("[[0.0,-0.0],[1.5,2]]").unwrap();
+        let back = Vec::<(f64, f64)>::decode(&pairs).unwrap();
+        assert_eq!(back, vec![(0.0, -0.0), (1.5, 2.0)]);
+        assert!(back[0].1.is_sign_negative(), "-0.0 keeps its sign");
+        assert_eq!(Json::F64(-0.0).to_string(), "-0.0");
+        assert!(<(f64, f64)>::decode(&parse("[1.0]").unwrap()).is_err());
+        assert!(<(f64, f64)>::decode(&parse("[1.0,2.0,3.0]").unwrap()).is_err());
+        assert_eq!(u32::decode(&Json::U64(7)), Ok(7));
+        assert!(u32::decode(&Json::U64(1 << 32)).is_err());
     }
 
     #[test]

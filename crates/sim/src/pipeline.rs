@@ -447,6 +447,8 @@ pub struct Simulator<'p> {
     // Pre-execution. Trigger/occurrence/hint tables are PC-indexed
     // vectors (empty until needed) rather than hash maps.
     contexts: Vec<Option<PthreadCtx>>,
+    /// Occupied entries of `contexts`, so cycles with none skip the scan.
+    live_contexts: usize,
     triggers: Vec<Vec<usize>>, // trigger pc -> indices into bodies
     bodies: Vec<Arc<[Inst]>>,
     body_hints: Vec<Option<(Pc, u64)>>, // (branch, lookahead) per body
@@ -516,6 +518,7 @@ impl<'p> Simulator<'p> {
             issue_cand: Vec::new(),
             outstanding_misses: Vec::new(),
             contexts: vec![None; cfg.pthread_contexts],
+            live_contexts: 0,
             triggers: Vec::new(),
             bodies: Vec::new(),
             body_hints: Vec::new(),
@@ -1270,6 +1273,9 @@ impl<'p> Simulator<'p> {
     /// any context was active this cycle (which disables fast-forward:
     /// active contexts can change state every cycle).
     fn sequence_pthreads(&mut self) -> (u32, bool) {
+        if self.live_contexts == 0 {
+            return (0, false);
+        }
         let mut used = 0;
         let mut active = false;
         for ci in 0..self.contexts.len() {
@@ -1378,6 +1384,7 @@ impl<'p> Simulator<'p> {
         // Fetch energy: p-threads sequence from the instruction cache in
         // processor-width blocks (equation E5).
         self.report.counts.imem_pth += (body.len() as u64).div_ceil(self.cfg.fetch_width as u64);
+        self.live_contexts += 1;
         self.contexts[slot] = Some(PthreadCtx {
             body,
             next: 0,
@@ -1402,6 +1409,7 @@ impl<'p> Simulator<'p> {
     /// instance of its branch.
     fn retire_context(&mut self, ci: usize) {
         let ctx = self.contexts[ci].take().expect("active context");
+        self.live_contexts -= 1;
         let Some((bpc, occ)) = ctx.hint_branch else {
             return;
         };
@@ -1734,6 +1742,13 @@ impl Simulator<'_> {
             "{} p-thread context slots, configured {}",
             self.contexts.len(),
             self.cfg.pthread_contexts
+        );
+        let occupied = self.contexts.iter().filter(|c| c.is_some()).count();
+        sanity!(
+            self,
+            self.live_contexts == occupied,
+            "{} live p-thread contexts counted, {occupied} occupied",
+            self.live_contexts
         );
         // The ROB is a queue in program (dispatch) order.
         for w in 0..self.rob.len().saturating_sub(1) {

@@ -178,7 +178,7 @@ fn identical_generated_programs_share_one_store_entry() {
 /// most once, and no baseline at all: admission's checked `default` run
 /// is the baseline of every cell, so beyond the distinct runs the only
 /// pipeline runs are admission's `tiny-mem-tlb` checks. Scenarios that
-/// build one program share its runs by fingerprint.
+/// build one program share its admission and its runs by fingerprint.
 #[test]
 fn atlas_simulates_each_distinct_run_once() {
     let distinct = small_atlas();
@@ -189,7 +189,11 @@ fn atlas_simulates_each_distinct_run_once() {
         let engine = Engine::new(2);
         let cfg = ExpConfig::default();
         let atlas = run_atlas(&engine, &cfg, &opts).unwrap();
-        let scenarios = atlas.admission.admitted;
+        assert_eq!(
+            atlas.admission.admitted,
+            opts.spec.scenarios().unwrap().len() as u64,
+            "{label}: a shared verdict still admits every scenario"
+        );
 
         let mut baselines = std::collections::HashSet::new();
         let mut runs = std::collections::HashSet::new();
@@ -223,7 +227,11 @@ fn atlas_simulates_each_distinct_run_once() {
             0,
             "{label}: baselines adopted"
         );
-        assert_eq!(m.admission_runs(), 2 * scenarios, "{label}: admission runs");
+        assert_eq!(
+            m.admission_runs(),
+            2 * programs as u64,
+            "{label}: admission runs, once per distinct program"
+        );
         assert_eq!(
             m.sim_runs(),
             (runs.len() - baselines.len()) as u64,

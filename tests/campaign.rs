@@ -8,7 +8,10 @@
 //! grid-size independent.
 
 use preexec::campaign::{content_hash, dominates, frontier, frontier_excess, Store};
-use preexec::harness::{campaign, versioned, Engine, ExpConfig, MODEL_VERSION};
+use preexec::critpath::Breakdown;
+use preexec::harness::{
+    campaign, versioned, CritPathOutput, Engine, ExpConfig, Stage, MODEL_VERSION,
+};
 use preexec_json::ToJson;
 use preexec_prop::{run_cases, Gen};
 use std::path::PathBuf;
@@ -157,16 +160,30 @@ fn persistent_store_gives_warm_engines_a_full_hit_rate() {
     assert_eq!(cold.metrics().store_hits(), 0, "nothing persisted yet");
     assert!(cold.metrics().store_misses() > 0);
 
-    // The store caches timing runs only: every entry is a whole report,
-    // so none is written that no reader asks for.
+    // The store caches timing runs and critical-path outputs: every
+    // entry decodes whole as the kind its key names, so none is written
+    // that no reader asks for.
+    let prefix = versioned(MODEL_VERSION, "");
+    let mut critpaths = 0;
     for shard in std::fs::read_dir(dir.join("store/entries")).unwrap() {
         for entry in std::fs::read_dir(shard.unwrap().path()).unwrap() {
             let path = entry.unwrap().path();
             let j = preexec_json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
-            let report = preexec::sim::SimReport::from_json(j.get("value").unwrap());
-            assert!(report.is_ok(), "{}: {report:?}", path.display());
+            let key = j.get("key").and_then(preexec_json::Json::as_str).unwrap();
+            let value = j.get("value").unwrap();
+            let kind = key.strip_prefix(&prefix).and_then(|k| k.split('|').next());
+            let whole = match kind {
+                Some("baseline" | "sim") => preexec::sim::SimReport::from_json(value).map(drop),
+                Some("critpath") => {
+                    critpaths += 1;
+                    CritPathOutput::from_json(value).map(drop)
+                }
+                _ => Err(format!("unknown entry kind in key {key:?}")),
+            };
+            assert!(whole.is_ok(), "{}: {whole:?}", path.display());
         }
     }
+    assert_eq!(critpaths, 1, "one critical-path output per profiled binary");
 
     // A fresh engine (empty in-memory memo) over the same store: every
     // timing run replays from disk — a 100% (≥90%) hit rate.
@@ -179,10 +196,124 @@ fn persistent_store_gives_warm_engines_a_full_hit_rate() {
     );
     assert!(warm.metrics().store_hits() > 0);
     assert_eq!(
+        (
+            warm.metrics().critpath_store_hits(),
+            warm.metrics().critpath_store_misses(),
+            warm.metrics().stage_calls(Stage::Critpath),
+        ),
+        (1, 0, 0),
+        "the warm run read the critical-path output instead of running the model"
+    );
+    assert_eq!(
         second.to_json().to_string(),
         first.to_json().to_string(),
         "store-served sweep changed the bytes"
     );
+}
+
+/// Every float of a critical-path output as its bit pattern, so `-0.0`
+/// and `+0.0` (equal as numbers) tell apart.
+fn critpath_bits(costs: &[preexec::critpath::LoadCost], b: &Breakdown, ipc: f64) -> Vec<u64> {
+    let mut bits = Vec::new();
+    for c in costs {
+        bits.extend([c.pc() as u64, c.misses(), c.tolerable().to_bits()]);
+        for &(x, y) in c.points() {
+            bits.extend([x.to_bits(), y.to_bits()]);
+        }
+    }
+    bits.extend([b.fetch, b.commit, b.exec, b.l2, b.mem, ipc].map(f64::to_bits));
+    bits
+}
+
+#[test]
+fn store_served_critpath_outputs_equal_the_computed_ones_bit_for_bit() {
+    let dir = tmpdir("critpath-bits");
+    let store = std::sync::Arc::new(Store::open(dir.join("store")).unwrap());
+    let cfg = ExpConfig::default();
+    let mut names: Vec<&str> = preexec::workloads::NAMES.to_vec();
+    names.extend([
+        "gen:sl4_id1_bd0_mr0.25_mc0_fp131072_s7",
+        "gen:sl8_id1_bd0.5_mr0.5_mc0_fp65536_s7",
+    ]);
+    let cold = Engine::new(2).with_store(store.clone());
+    let computed: Vec<_> = names.iter().map(|n| cold.prepared(n, &cfg)).collect();
+    assert_eq!(cold.metrics().critpath_store_misses(), names.len() as u64);
+
+    let warm = Engine::new(2).with_store(store);
+    for (name, fresh) in names.iter().zip(&computed) {
+        let served = warm.prepared(name, &cfg);
+        assert_eq!(
+            critpath_bits(&served.costs, &served.cp_breakdown, served.cp_ipc),
+            critpath_bits(&fresh.costs, &fresh.cp_breakdown, fresh.cp_ipc),
+            "{name}: store-served critical-path output differs from the computed one"
+        );
+    }
+    let m = warm.metrics();
+    assert_eq!(m.critpath_store_hits(), names.len() as u64);
+    assert_eq!(m.critpath_store_misses(), 0);
+    assert_eq!(m.stage_calls(Stage::Critpath), 0, "no model ran warm");
+}
+
+#[test]
+fn truncated_critpath_entries_recompute_and_overwrite_themselves() {
+    let dir = tmpdir("truncated-critpath");
+    let store = std::sync::Arc::new(Store::open(dir.join("store")).unwrap());
+    let cfg = ExpConfig::default();
+    let opts = small_opts();
+    let cold = campaign::run_sweep(&Engine::from_env().with_store(store.clone()), &cfg, &opts);
+
+    // Cut the filed critical-path output short after its breakdown (no
+    // `ipc`): an entry that still parses but no longer decodes whole.
+    let prefix = versioned(MODEL_VERSION, "critpath|");
+    let mut cut = 0u64;
+    for shard in std::fs::read_dir(dir.join("store/entries")).unwrap() {
+        for entry in std::fs::read_dir(shard.unwrap().path()).unwrap() {
+            let path = entry.unwrap().path();
+            let text = std::fs::read_to_string(&path).unwrap();
+            let j = preexec_json::parse(&text).unwrap();
+            let key = j.get("key").and_then(preexec_json::Json::as_str).unwrap();
+            if !key.starts_with(&prefix) {
+                continue;
+            }
+            let value = j.get("value").unwrap();
+            let truncated = preexec_json::Json::object()
+                .with("costs", value.get("costs").unwrap().clone())
+                .with("breakdown", value.get("breakdown").unwrap().clone());
+            let cut_entry = preexec_json::Json::object()
+                .with("key", key)
+                .with("value", truncated);
+            std::fs::write(&path, cut_entry.to_string()).unwrap();
+            cut += 1;
+        }
+    }
+    assert_eq!(cut, 1, "one critical-path output was filed");
+
+    // The partial entry is a corrupt miss: the model runs again and the
+    // output is the cold one.
+    let warm = Engine::from_env().with_store(store.clone());
+    let rerun = campaign::run_sweep(&warm, &cfg, &opts);
+    assert_eq!(
+        rerun.to_json().to_string(),
+        cold.to_json().to_string(),
+        "a truncated critical-path entry changed the bytes"
+    );
+    let m = warm.metrics();
+    assert_eq!((m.critpath_store_hits(), m.critpath_store_misses()), (0, 1));
+    assert_eq!(m.stage_calls(Stage::Critpath), 1, "the model ran again");
+    assert_eq!(
+        (m.store_hits(), m.store_misses()),
+        (2, 0),
+        "timing runs stay warm"
+    );
+    assert_eq!(store.counters().corrupt, 1);
+
+    // The recompute overwrote the entry: the next engine reads it.
+    let healed = Engine::from_env().with_store(store);
+    let third = campaign::run_sweep(&healed, &cfg, &opts);
+    let m = healed.metrics();
+    assert_eq!((m.critpath_store_hits(), m.critpath_store_misses()), (1, 0));
+    assert_eq!(m.stage_calls(Stage::Critpath), 0);
+    assert_eq!(third.to_json().to_string(), cold.to_json().to_string());
 }
 
 #[test]
