@@ -1,5 +1,5 @@
 //! The experiment engine: a work pool that fans (workload × config ×
-//! target) cells across cores, a three-layer memo cache, and the
+//! target) cells across cores, a four-layer memo cache, and the
 //! [`Metrics`] observability layer.
 //!
 //! The cache layers, outermost first:
@@ -21,12 +21,16 @@
 //!    filled it, so one selection on one machine is simulated exactly
 //!    once per process. The persistent store, when attached, sits behind
 //!    it under unchanged keys.
-//! 4. **Critical-path outputs** ([`PreparedBase::critpath_key`]: profile
-//!    binary fingerprint × trace cap × hierarchy × model machine ×
-//!    problem loads) — a base's cost functions, breakdown and IPC
-//!    estimate, so a warm `--store` run skips the critical-path model.
-//!    The persistent store sits behind this memo too, with its own
-//!    hit/miss counters.
+//! 4. **Stage outputs** — the profile, the critical-path output and the
+//!    slice trees of a profiling binary, each kind in its own memo under
+//!    a key naming exactly its stage's inputs
+//!    ([`PreparedBase::profile_key`], [`PreparedBase::critpath_key`],
+//!    [`PreparedBase::slices_key`]). One helper serves all three: memo,
+//!    then persistent store, then the stage itself, written back. A
+//!    fully warm `--store` run therefore skips the functional trace, the
+//!    profile, the slicer and the critical-path model. Store probes for
+//!    critical-path outputs and for front-end outputs (profiles and
+//!    trees) have hit/miss counters of their own.
 //!
 //! Results are bit-identical to the serial path: every cell is computed
 //! independently from the same deterministic inputs and collected in
@@ -38,12 +42,14 @@ use crate::experiments::BenchEval;
 use crate::metrics::{Metrics, Stage};
 use crate::setup::{
     timed_run, versioned, CritPathOutput, ExpConfig, Prepared, PreparedBase, PreparedCore,
-    TargetResult, MODEL_VERSION,
+    ProfilingRun, StageOutput, TargetResult, MODEL_VERSION,
 };
 use preexec_campaign::Store;
 use preexec_isa::Program;
 use preexec_json::ToJson;
 use preexec_sim::{IntervalSnapshot, SimConfig, SimReport};
+use preexec_slicer::SliceTree;
+use preexec_trace::Profile;
 use pthsel::{PThread, SelectionTarget};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -123,16 +129,20 @@ pub struct Engine {
     /// ([`run_key`]): the timing simulator is deterministic, so one
     /// selection on one machine is simulated exactly once per process.
     sims: SlotMap<SimRun>,
-    /// Critical-path outputs by [`PreparedBase::critpath_key`], which is
-    /// also their store key.
+    /// Profiles by [`PreparedBase::profile_key`], which is also their
+    /// store key.
+    profiles: SlotMap<Profile>,
+    /// Critical-path outputs by [`PreparedBase::critpath_key`], likewise.
     critpaths: SlotMap<CritPathOutput>,
+    /// Slice trees by [`PreparedBase::slices_key`], likewise.
+    slices: SlotMap<Vec<SliceTree>>,
     /// Experiment-owned memoized values (e.g. the branch-study pipeline),
     /// type-erased so the engine stays decoupled from experiment types.
     aux: SlotMap<Box<dyn std::any::Any + Send + Sync>>,
-    /// Persistent on-disk extension of the timing-run and critical-path
+    /// Persistent on-disk extension of the timing-run and stage-output
     /// memos: an entry is probed here before computing and written back
     /// after, so results survive the process and are shared across
-    /// shards. Both kinds round-trip JSON exactly, so a store-served
+    /// shards. Every kind round-trips JSON exactly, so a store-served
     /// entry is bit-identical to a fresh one.
     store: Option<Arc<Store>>,
     metrics: Metrics,
@@ -148,7 +158,9 @@ impl Engine {
             bases: Mutex::new(HashMap::new()),
             cache: Mutex::new(HashMap::new()),
             sims: Mutex::new(HashMap::new()),
+            profiles: Mutex::new(HashMap::new()),
             critpaths: Mutex::new(HashMap::new()),
+            slices: Mutex::new(HashMap::new()),
             aux: Mutex::new(HashMap::new()),
             store: None,
             metrics: Metrics::new(),
@@ -193,10 +205,10 @@ impl Engine {
         self
     }
 
-    /// Backs the engine's simulation and critical-path layers with a
-    /// persistent store: baseline and optimized timing runs and
-    /// critical-path outputs are served from disk when a valid entry
-    /// exists (a warm start) and persisted when computed.
+    /// Backs the engine's timing-run and stage-output layers with a
+    /// persistent store: baseline and optimized timing runs, profiles,
+    /// critical-path outputs and slice trees are served from disk when a
+    /// valid entry exists (a warm start) and persisted when computed.
     pub fn with_store(mut self, store: Arc<Store>) -> Engine {
         self.store = Some(store);
         self
@@ -225,8 +237,10 @@ impl Engine {
     pub fn prepared(&self, name: &str, cfg: &ExpConfig) -> Prepared {
         let start = std::time::Instant::now();
         let (core, hit) = memo(&self.cache, PreparedCore::structural_key(name, cfg), || {
-            let (base, side) = self.base(name, cfg);
-            PreparedCore::from_base(base, cfg, &self.metrics, side)
+            let (base, run) = self.base(name, cfg);
+            PreparedCore::from_base(base, cfg, &self.metrics, &run, |out| {
+                self.stage_output(&self.slices, out, Self::frontend_probe)
+            })
         });
         if hit {
             self.metrics.add_cache_hit();
@@ -270,25 +284,19 @@ impl Engine {
     }
 
     /// The memoized slice-independent base artifacts for `(name, cfg)`.
-    /// On a fresh build the profiling trace and annotation ride along so
-    /// the caller's slicing stage can skip its trace replay; a cache-served
-    /// base returns `None` (the artifacts are deliberately not cached —
-    /// they would dominate cache memory).
-    fn base(
-        &self,
-        name: &str,
-        cfg: &ExpConfig,
-    ) -> (
-        Arc<PreparedBase>,
-        Option<(preexec_trace::Trace, preexec_trace::MemAnnotation)>,
-    ) {
-        let mut side = None;
+    /// On a fresh build the profiling run rides along, so the caller's
+    /// slicing stage reuses whatever trace the base computed; a
+    /// cache-served base comes with an empty run (the trace is
+    /// deliberately not cached — it would dominate cache memory).
+    fn base(&self, name: &str, cfg: &ExpConfig) -> (Arc<PreparedBase>, ProfilingRun) {
+        let mut run = ProfilingRun::default();
         let (base, hit) = memo(&self.bases, PreparedBase::base_key(name, cfg), || {
-            let (base, trace, ann) = PreparedBase::build(
+            let (base, fresh) = PreparedBase::build(
                 name,
                 cfg,
                 &self.metrics,
-                |key, compute| self.critpath(key, compute),
+                |out| self.stage_output(&self.profiles, out, Self::frontend_probe),
+                |out| self.stage_output(&self.critpaths, out, Self::critpath_probe),
                 |program, fingerprint| {
                     self.run(program, fingerprint, &cfg.sim, &[])
                         .0
@@ -296,7 +304,7 @@ impl Engine {
                         .clone()
                 },
             );
-            side = Some((trace, ann));
+            run = fresh;
             base
         });
         if hit {
@@ -304,31 +312,54 @@ impl Engine {
         } else {
             self.metrics.add_base_miss();
         }
-        (base, side)
+        (base, run)
     }
 
-    /// The critical-path output under `key`: from the memo, else from the
-    /// store, else computed by `compute` and written to the store. Store
-    /// probes count in their own hit/miss counters, so `store_misses`
-    /// keeps counting timing runs only. An entry that does not decode
-    /// whole is a miss (and corrupt in the store's counters), so it is
-    /// recomputed and overwritten.
-    fn critpath(&self, key: &str, compute: &dyn Fn() -> CritPathOutput) -> CritPathOutput {
-        let (out, _) = memo(&self.critpaths, key.to_string(), || {
+    /// Counts a store probe for a critical-path output.
+    fn critpath_probe(m: &Metrics, hit: bool) {
+        if hit {
+            m.add_critpath_store_hit();
+        } else {
+            m.add_critpath_store_miss();
+        }
+    }
+
+    /// Counts a store probe for a profile or a set of slice trees.
+    fn frontend_probe(m: &Metrics, hit: bool) {
+        if hit {
+            m.add_frontend_store_hit();
+        } else {
+            m.add_frontend_store_miss();
+        }
+    }
+
+    /// The stage output `out` asks for, shared with `map`: from `map`,
+    /// else from the store, else computed and written to the store. `probe` counts each store
+    /// probe in its kind's own counters, so `store_misses` keeps counting
+    /// timing runs only. An entry that does not decode whole is a miss
+    /// (and corrupt in the store's counters), so it is recomputed and
+    /// overwritten.
+    fn stage_output<T>(
+        &self,
+        map: &SlotMap<T>,
+        out: StageOutput<T>,
+        probe: fn(&Metrics, bool),
+    ) -> Arc<T> {
+        let (value, _) = memo(map, out.key.clone(), || {
             if let Some(store) = &self.store {
-                if let Some(out) = store.load_as(key, CritPathOutput::from_json) {
-                    self.metrics.add_critpath_store_hit();
-                    return out;
+                let stored = store.load_as(&out.key, out.decode);
+                probe(&self.metrics, stored.is_some());
+                if let Some(value) = stored {
+                    return value;
                 }
-                self.metrics.add_critpath_store_miss();
             }
-            let out = compute();
+            let value = (out.compute)();
             if let Some(store) = &self.store {
-                store.save(key, &out.to_json());
+                store.save(&out.key, &(out.encode)(&value));
             }
-            out
+            value
         });
-        (*out).clone()
+        value
     }
 
     /// The timing run of `program` (content `fingerprint`) on `sim` with

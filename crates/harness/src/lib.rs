@@ -35,7 +35,8 @@ pub use chart::{signed_bars, stacked_bars};
 pub use engine::{Engine, ProgressSink, THREADS_ENV};
 pub use metrics::{Metrics, Stage};
 pub use setup::{
-    build_program, check_bench, program_fingerprint, versioned, CritPathOutput, ExpConfig,
-    Prepared, PreparedBase, PreparedCore, TargetResult, MODEL_VERSION,
+    build_program, check_bench, profile_from_json, program_fingerprint, trees_from_json, versioned,
+    CritPathOutput, ExpConfig, Prepared, PreparedBase, PreparedCore, ProfilingRun, StageOutput,
+    TargetResult, MODEL_VERSION,
 };
 pub use table::{num1, pct, ratio, TextTable};

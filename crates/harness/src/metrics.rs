@@ -86,6 +86,8 @@ pub struct Metrics {
     store_misses: AtomicU64,
     critpath_store_hits: AtomicU64,
     critpath_store_misses: AtomicU64,
+    frontend_store_hits: AtomicU64,
+    frontend_store_misses: AtomicU64,
     cells: AtomicU64,
 }
 
@@ -209,6 +211,18 @@ impl Metrics {
         self.critpath_store_misses.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records a persistent-store probe for a front-end output (a
+    /// profile or a set of slice trees) that found a usable entry.
+    pub fn add_frontend_store_hit(&self) {
+        self.frontend_store_hits.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records a persistent-store probe for a front-end output that found
+    /// nothing usable (the stage runs and the output is written back).
+    pub fn add_frontend_store_miss(&self) {
+        self.frontend_store_misses.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Records one evaluated (benchmark × config × target) cell.
     pub fn add_cell(&self) {
         self.cells.fetch_add(1, Ordering::Relaxed);
@@ -290,6 +304,16 @@ impl Metrics {
         self.critpath_store_misses.load(Ordering::Relaxed)
     }
 
+    /// Persistent-store hits for front-end outputs so far.
+    pub fn frontend_store_hits(&self) -> u64 {
+        self.frontend_store_hits.load(Ordering::Relaxed)
+    }
+
+    /// Persistent-store misses for front-end outputs so far.
+    pub fn frontend_store_misses(&self) -> u64 {
+        self.frontend_store_misses.load(Ordering::Relaxed)
+    }
+
     /// Evaluated cells so far.
     pub fn cells(&self) -> u64 {
         self.cells.load(Ordering::Relaxed)
@@ -339,7 +363,9 @@ impl Metrics {
                     .with("store_hits", self.store_hits())
                     .with("store_misses", self.store_misses())
                     .with("critpath_store_hits", self.critpath_store_hits())
-                    .with("critpath_store_misses", self.critpath_store_misses()),
+                    .with("critpath_store_misses", self.critpath_store_misses())
+                    .with("frontend_store_hits", self.frontend_store_hits())
+                    .with("frontend_store_misses", self.frontend_store_misses()),
             )
     }
 }

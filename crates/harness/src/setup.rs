@@ -11,20 +11,27 @@
 //! energy-dependent) application parameters. Sweeps that only perturb
 //! energy constants or selection weights therefore reuse the expensive
 //! artifacts.
+//!
+//! Three stage outputs — the profile, the critical-path output and the
+//! slice trees — are asked for as a [`StageOutput`], keyed by exactly
+//! that stage's inputs, so the engine can serve them from its memo and
+//! persistent store. The profiling trace they are computed from is a
+//! [`ProfilingRun`], replayed only when one of them is computed.
 
 use crate::metrics::{Metrics, Stage};
 use preexec_critpath::{Breakdown, CritPathConfig, CritPathModel, LoadCost};
 use preexec_energy::EnergyConfig;
 use preexec_isa::Program;
-use preexec_json::impl_json_object;
+use preexec_json::{impl_json_object, FromJson, Json, ToJson};
 use preexec_sim::{IntervalSnapshot, SimConfig, SimReport, Simulator};
-use preexec_slicer::{SliceConfig, SliceTree};
-use preexec_trace::{FuncSim, MemAnnotation, Profile, Trace};
+use preexec_slicer::{SliceConfig, SliceNode, SliceTree};
+use preexec_trace::{FuncSim, MemAnnotation, PcStats, Profile, Trace};
 use preexec_workloads::InputSet;
 use pthsel::{
     select, AppParams, CandidateTable, EnergyParams, MachineParams, PThread, Selection,
     SelectionTarget, SelectorInputs,
 };
+use std::cell::OnceCell;
 use std::sync::Arc;
 
 /// Version of the analysis/simulation model, folded into every memo and
@@ -221,6 +228,199 @@ impl_json_object!(CritPathOutput {
     ipc,
 } decode);
 
+/// One stage's output as preparation asks for it: the memo and
+/// persistent-store key, which names exactly the stage's inputs; the
+/// strict decoder and the encoder of its stored form; and the thunk that
+/// computes it. The engine serves it from its memo, then its store, and
+/// calls `compute` only on a miss; [`Prepared::build`] always computes.
+/// Every stored form round-trips exactly, so either way the output is
+/// bit-identical.
+pub struct StageOutput<'a, T> {
+    /// Memo and store key.
+    pub key: String,
+    /// Decodes a stored entry, rejecting one that does not fit the
+    /// binary it claims to describe.
+    pub decode: &'a dyn Fn(&Json) -> Result<T, String>,
+    /// The stored form.
+    pub encode: fn(&T) -> Json,
+    /// Computes the output, metered as its stage.
+    pub compute: &'a dyn Fn() -> T,
+}
+
+/// The stored form of a [`Profile`]: each PC's `[execs, taken,
+/// l1_misses, l2_misses]` and the two totals.
+struct ProfileEntry {
+    per_pc: Vec<Vec<u64>>,
+    total_insts: u64,
+    total_l2_misses: u64,
+}
+
+impl_json_object!(ProfileEntry {
+    per_pc,
+    total_insts,
+    total_l2_misses,
+} decode);
+
+fn profile_to_json(profile: &Profile) -> Json {
+    ProfileEntry {
+        per_pc: profile
+            .per_pc()
+            .iter()
+            .map(|s| vec![s.execs, s.taken, s.l1_misses, s.l2_misses])
+            .collect(),
+        total_insts: profile.total_insts(),
+        total_l2_misses: profile.total_l2_misses(),
+    }
+    .to_json()
+}
+
+/// Decodes a stored profile of `program`, which must have one entry per
+/// instruction.
+pub fn profile_from_json(j: &Json, program: &Program) -> Result<Profile, String> {
+    let entry = ProfileEntry::from_json(j)?;
+    if entry.per_pc.len() != program.len() {
+        return Err(format!(
+            "Profile: {} PCs for a {}-instruction program",
+            entry.per_pc.len(),
+            program.len()
+        ));
+    }
+    let per_pc = entry
+        .per_pc
+        .iter()
+        .map(|s| match s[..] {
+            [execs, taken, l1_misses, l2_misses] => Ok(PcStats {
+                execs,
+                taken,
+                l1_misses,
+                l2_misses,
+            }),
+            _ => Err(format!("Profile: a PC has {} counts, not 4", s.len())),
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(Profile::from_parts(
+        per_pc,
+        entry.total_insts,
+        entry.total_l2_misses,
+    ))
+}
+
+/// The stored form of slice trees: per tree, its nodes in id order, each
+/// as `[parent, pc, dc_ptcm, lookahead_sum]` with a `null` parent for
+/// the root. The other fields follow from these and the binary.
+fn trees_to_json(trees: &[SliceTree]) -> Json {
+    let node = |n: &SliceNode| {
+        Json::Array(vec![
+            n.parent.to_json(),
+            n.pc.to_json(),
+            n.dc_ptcm.to_json(),
+            n.lookahead_sum.to_json(),
+        ])
+    };
+    Json::Array(
+        trees
+            .iter()
+            .map(|t| Json::Array(t.nodes().iter().map(node).collect()))
+            .collect(),
+    )
+}
+
+/// Decodes the stored slice trees of `problem_pcs` in `program`, whose
+/// profile is `profile`, rebuilding each node's instruction, `dc_trig`,
+/// depth and children. Rejects an entry with a tree per problem load
+/// missing, a root at another PC, a parent that is not an earlier node,
+/// or a PC outside the program.
+pub fn trees_from_json(
+    j: &Json,
+    program: &Program,
+    profile: &Profile,
+    problem_pcs: &[u32],
+) -> Result<Vec<SliceTree>, String> {
+    let rows = Vec::<Vec<Vec<Option<u64>>>>::decode(j)
+        .map_err(|e| e.unwrap_or_else(|| "slice trees: expected arrays of nodes".into()))?;
+    if rows.len() != problem_pcs.len() {
+        return Err(format!(
+            "slice trees: {} trees for {} problem loads",
+            rows.len(),
+            problem_pcs.len()
+        ));
+    }
+    rows.iter()
+        .zip(problem_pcs)
+        .map(|(tree, &root_pc)| {
+            let mut nodes: Vec<SliceNode> = Vec::with_capacity(tree.len());
+            for (id, row) in tree.iter().enumerate() {
+                let &[parent, Some(pc), Some(dc_ptcm), Some(lookahead_sum)] = &row[..] else {
+                    return Err(format!(
+                        "slice node {id}: expected [parent, pc, dc_ptcm, lookahead_sum]"
+                    ));
+                };
+                let parent = match parent {
+                    None if id == 0 => None,
+                    Some(p) if id > 0 && p < id as u64 => Some(p as usize),
+                    _ => {
+                        return Err(format!(
+                            "slice node {id}: parent {parent:?} is not an earlier node"
+                        ))
+                    }
+                };
+                let pc = u32::try_from(pc)
+                    .ok()
+                    .filter(|&pc| (pc as usize) < program.len())
+                    .ok_or_else(|| format!("slice node {id}: pc {pc} is outside the program"))?;
+                if id == 0 && pc != root_pc {
+                    return Err(format!("slice tree of pc {root_pc}: root at pc {pc}"));
+                }
+                let depth = parent.map_or(0, |p| nodes[p].depth + 1);
+                if let Some(p) = parent {
+                    nodes[p].children.push(id);
+                }
+                nodes.push(SliceNode {
+                    id,
+                    parent,
+                    children: Vec::new(),
+                    pc,
+                    inst: *program.inst(pc),
+                    depth,
+                    dc_ptcm,
+                    dc_trig: profile.pc_stats(pc).execs,
+                    lookahead_sum,
+                });
+            }
+            if nodes.is_empty() {
+                return Err(format!("slice tree of pc {root_pc}: no root"));
+            }
+            Ok(SliceTree::from_parts(root_pc, nodes))
+        })
+        .collect()
+}
+
+/// The profiling run of one binary: its functional trace and memory
+/// annotation, computed on first demand and then kept. Profiling, the
+/// critical-path model and slicing all read it, so one cold preparation
+/// runs the 600k-event functional simulation at most once, and one whose
+/// three outputs are all served runs it not at all.
+#[derive(Default)]
+pub struct ProfilingRun(OnceCell<(Trace, MemAnnotation)>);
+
+impl ProfilingRun {
+    /// The trace of `program`'s first `cfg.trace_cap` instructions and
+    /// its annotation under `cfg`'s cache hierarchy, metered as
+    /// [`Stage::Trace`] and [`Stage::Profile`] when first computed.
+    fn get(&self, program: &Program, cfg: &ExpConfig, m: &Metrics) -> &(Trace, MemAnnotation) {
+        self.0.get_or_init(|| {
+            let trace = m.time(Stage::Trace, || {
+                FuncSim::new(program).run_trace(cfg.trace_cap)
+            });
+            m.add_trace_insts(trace.len() as u64);
+            let ann = m.time(Stage::Profile, || {
+                MemAnnotation::compute(&trace, cfg.sim.hierarchy)
+            });
+            (trace, ann)
+        })
+    }
+}
+
 /// The artifacts of one benchmark's preparation that are independent of
 /// *both* the energy constants and the slicing knobs: profiling trace
 /// statistics, critical-path cost functions, and the baseline timing run.
@@ -233,10 +433,13 @@ pub struct PreparedBase {
     pub name: String,
     /// The binary that was profiled (built for the profile input).
     profile_prog: Program,
+    /// Content fingerprint of `profile_prog`.
+    profile_fingerprint: String,
     /// The binary that runs (built for the run input).
     pub program: Program,
-    /// Per-PC profile mined from the profiling run.
-    pub profile: Profile,
+    /// Per-PC profile mined from the profiling run, shared with the
+    /// engine's memo.
+    pub profile: Arc<Profile>,
     /// PCs of the problem loads, in selection order.
     problem_pcs: Vec<u32>,
     /// Criticality-based cost functions of the problem loads.
@@ -253,18 +456,17 @@ pub struct PreparedBase {
 
 impl PreparedBase {
     /// Builds the slice-independent pipeline for `name` under `cfg`,
-    /// handing back the profiling trace and its memory annotation too: a
-    /// cold `Engine::prepared` threads them straight into
-    /// [`PreparedCore::from_base`], sparing the slicing stage its
-    /// (deterministic, hence bit-identical) trace replay.
+    /// handing back the profiling run too: a cold `Engine::prepared`
+    /// threads it straight into [`PreparedCore::from_base`], so the
+    /// functional trace runs at most once per preparation.
     ///
-    /// `critpath` supplies the critical-path stage's output, given its
-    /// [`PreparedBase::critpath_key`] and a thunk that runs the model
-    /// (metered as [`Stage::Critpath`]); `baseline` supplies the baseline
+    /// `profile` and `critpath` supply those stages' outputs as
+    /// [`StageOutput`]s keyed by [`PreparedBase::profile_key`] and
+    /// [`PreparedBase::critpath_key`]; `baseline` supplies the baseline
     /// timing run, given the run binary and its [`program_fingerprint`].
     /// The engine serves each from its memo, then its persistent store,
     /// and computes only on a miss; [`Prepared::build`] always computes.
-    /// Both stages are deterministic in the inputs their keys name, so
+    /// Every stage is deterministic in the inputs its key names, so
     /// either way the artifacts are bit-identical.
     ///
     /// # Panics
@@ -274,26 +476,40 @@ impl PreparedBase {
         name: &str,
         cfg: &ExpConfig,
         m: &Metrics,
-        critpath: impl FnOnce(&str, &dyn Fn() -> CritPathOutput) -> CritPathOutput,
+        profile: impl FnOnce(StageOutput<Profile>) -> Arc<Profile>,
+        critpath: impl FnOnce(StageOutput<CritPathOutput>) -> Arc<CritPathOutput>,
         baseline: impl FnOnce(&Program, &str) -> SimReport,
-    ) -> (PreparedBase, Trace, MemAnnotation) {
+    ) -> (PreparedBase, ProfilingRun) {
+        // Equal inputs build equal binaries, so one build serves both.
+        let same_input = cfg.profile_input == cfg.run_input;
         let (profile_prog, run_prog) = m.time(Stage::WorkloadBuild, || {
             let p = build_program(name, cfg.profile_input)
                 .unwrap_or_else(|| panic!("unknown workload {name:?}"));
-            let r = build_program(name, cfg.run_input).expect("same registry");
+            let r = if same_input {
+                p.clone()
+            } else {
+                build_program(name, cfg.run_input).expect("same registry")
+            };
             (p, r)
         });
         let fingerprint = program_fingerprint(&run_prog);
+        let profile_fingerprint = if same_input {
+            fingerprint.clone()
+        } else {
+            program_fingerprint(&profile_prog)
+        };
+        let run = ProfilingRun::default();
 
-        // Profiling pass (functional trace + cache annotation).
-        let trace = m.time(Stage::Trace, || {
-            FuncSim::new(&profile_prog).run_trace(cfg.trace_cap)
-        });
-        m.add_trace_insts(trace.len() as u64);
-        let (ann, profile) = m.time(Stage::Profile, || {
-            let ann = MemAnnotation::compute(&trace, cfg.sim.hierarchy);
-            let profile = Profile::compute(&profile_prog, &trace, &ann);
-            (ann, profile)
+        let profile = profile(StageOutput {
+            key: PreparedBase::profile_key(&profile_fingerprint, cfg),
+            decode: &|j| profile_from_json(j, &profile_prog),
+            encode: profile_to_json,
+            compute: &|| {
+                let (trace, ann) = run.get(&profile_prog, cfg, m);
+                m.time(Stage::Profile, || {
+                    Profile::compute(&profile_prog, trace, ann)
+                })
+            },
         });
 
         // Problem loads.
@@ -302,22 +518,15 @@ impl PreparedBase {
         probs.truncate(cfg.max_problem_loads);
         let problem_pcs: Vec<u32> = probs.iter().map(|pl| pl.pc).collect();
 
-        // Criticality cost functions. Equal inputs build equal binaries,
-        // so the run binary's fingerprint names the profiled one too.
-        let profile_fingerprint = if cfg.profile_input == cfg.run_input {
-            fingerprint.clone()
-        } else {
-            program_fingerprint(&profile_prog)
-        };
-        let CritPathOutput {
-            costs,
-            breakdown: cp_breakdown,
-            ipc: cp_ipc,
-        } = critpath(
-            &PreparedBase::critpath_key(&profile_fingerprint, cfg, &problem_pcs),
-            &|| {
+        // Criticality cost functions.
+        let critpath = critpath(StageOutput {
+            key: PreparedBase::critpath_key(&profile_fingerprint, cfg, &problem_pcs),
+            decode: &CritPathOutput::from_json,
+            encode: CritPathOutput::to_json,
+            compute: &|| {
+                let (trace, ann) = run.get(&profile_prog, cfg, m);
                 m.time(Stage::Critpath, || {
-                    let cp = CritPathModel::new(&trace, &ann, cfg.critpath_config());
+                    let cp = CritPathModel::new(trace, ann, cfg.critpath_config());
                     CritPathOutput {
                         costs: cp.load_costs(&problem_pcs),
                         breakdown: cp.breakdown(),
@@ -325,7 +534,12 @@ impl PreparedBase {
                     }
                 })
             },
-        );
+        });
+        let CritPathOutput {
+            costs,
+            breakdown: cp_breakdown,
+            ipc: cp_ipc,
+        } = (*critpath).clone();
 
         // Baseline timing run on the run input.
         let baseline = baseline(&run_prog, &fingerprint);
@@ -333,6 +547,7 @@ impl PreparedBase {
         let base = PreparedBase {
             name: name.to_string(),
             profile_prog,
+            profile_fingerprint,
             program: run_prog,
             profile,
             problem_pcs,
@@ -342,7 +557,7 @@ impl PreparedBase {
             fingerprint,
             cp_ipc,
         };
-        (base, trace, ann)
+        (base, run)
     }
 
     /// The engine's base-layer cache key: [`PreparedCore::structural_key`]
@@ -374,6 +589,21 @@ impl PreparedBase {
         versioned(MODEL_VERSION, &format!("baseline|pf{fingerprint}|{sim:?}"))
     }
 
+    /// The memo and persistent-store key of the profile of the profiling
+    /// binary with content `fingerprint` ([`program_fingerprint`]):
+    /// exactly the profiling stage's inputs, the binary's first
+    /// `cfg.trace_cap` instructions and the cache hierarchy that
+    /// annotates them.
+    pub fn profile_key(fingerprint: &str, cfg: &ExpConfig) -> String {
+        versioned(
+            MODEL_VERSION,
+            &format!(
+                "profile|pf{fingerprint}|{}|{:?}",
+                cfg.trace_cap, cfg.sim.hierarchy,
+            ),
+        )
+    }
+
     /// The memo and persistent-store key of the critical-path stage's
     /// output for the profiling binary with content `fingerprint`
     /// ([`program_fingerprint`]): exactly the model's inputs. The trace
@@ -389,6 +619,22 @@ impl PreparedBase {
                 cfg.trace_cap,
                 cfg.sim.hierarchy,
                 cfg.critpath_config(),
+            ),
+        )
+    }
+
+    /// The memo and persistent-store key of the slice trees of the
+    /// problem loads `problem_pcs` of the profiling binary with content
+    /// `fingerprint` ([`program_fingerprint`]): exactly the slicing
+    /// stage's inputs. The trace, its annotation and the profile the
+    /// trees count from follow as for [`PreparedBase::profile_key`], and
+    /// the trees take their shape from `cfg.slice`.
+    pub fn slices_key(fingerprint: &str, cfg: &ExpConfig, problem_pcs: &[u32]) -> String {
+        versioned(
+            MODEL_VERSION,
+            &format!(
+                "slices|pf{fingerprint}|{}|{:?}|{:?}|{problem_pcs:?}",
+                cfg.trace_cap, cfg.sim.hierarchy, cfg.slice,
             ),
         )
     }
@@ -415,8 +661,8 @@ pub struct PreparedCore {
     /// The slice-independent artifacts, shared with every core finished
     /// from the same base.
     pub base: Arc<PreparedBase>,
-    /// Slice trees of the problem loads.
-    pub trees: Vec<SliceTree>,
+    /// Slice trees of the problem loads, shared with the engine's memo.
+    pub trees: Arc<Vec<SliceTree>>,
     /// Every candidate of `trees` with its latency terms, read by every
     /// selection on this core.
     pub table: CandidateTable,
@@ -432,49 +678,46 @@ impl std::ops::Deref for PreparedCore {
 
 impl PreparedCore {
     /// Finishes a (possibly cache-served) [`PreparedBase`] for `cfg`'s
-    /// slicing knobs: builds the slice trees and their selection table.
-    /// Slicing needs the profiling trace and annotation, which `side`
-    /// may supply (a fresh [`PreparedBase::build`] returns them);
-    /// otherwise they are replayed. The replay is deterministic in
+    /// slicing knobs: the slice trees and their selection table. `slices`
+    /// supplies the trees as a [`StageOutput`] keyed by
+    /// [`PreparedBase::slices_key`], like the base's own stage outputs.
+    /// Computing them reads the profiling trace from `run`: the one a
+    /// fresh [`PreparedBase::build`] returned, or an empty run for a
+    /// cache-served base, which replays it. The replay is deterministic in
     /// `(base.profile_prog, cfg.trace_cap, cfg.sim.hierarchy)`, so either
-    /// way the trees are bit-identical, and a cold engine preparation that
-    /// threads them through runs the 600k-event functional simulation once
-    /// instead of twice.
+    /// way the trees are bit-identical.
     pub fn from_base(
         base: Arc<PreparedBase>,
         cfg: &ExpConfig,
         m: &Metrics,
-        side: Option<(Trace, MemAnnotation)>,
+        run: &ProfilingRun,
+        slices: impl FnOnce(StageOutput<Vec<SliceTree>>) -> Arc<Vec<SliceTree>>,
     ) -> PreparedCore {
-        // The base layer does not keep the raw trace (it would dominate
-        // cache memory). When the caller cannot supply it (a cache-served
-        // base), replaying it is a tiny fraction of the critpath +
-        // baseline work the base layer saves.
-        let (trace, ann) = side.unwrap_or_else(|| {
-            let trace = m.time(Stage::Trace, || {
-                FuncSim::new(&base.profile_prog).run_trace(cfg.trace_cap)
-            });
-            let ann = m.time(Stage::Profile, || {
-                MemAnnotation::compute(&trace, cfg.sim.hierarchy)
-            });
-            (trace, ann)
+        let trees = slices(StageOutput {
+            key: PreparedBase::slices_key(&base.profile_fingerprint, cfg, &base.problem_pcs),
+            decode: &|j| trees_from_json(j, &base.profile_prog, &base.profile, &base.problem_pcs),
+            encode: |trees| trees_to_json(trees),
+            compute: &|| {
+                let (trace, ann) = run.get(&base.profile_prog, cfg, m);
+                let trees: Vec<SliceTree> = m.time(Stage::Slice, || {
+                    base.problem_pcs
+                        .iter()
+                        .map(|&pc| {
+                            SliceTree::build(
+                                &base.profile_prog,
+                                trace,
+                                ann,
+                                &base.profile,
+                                pc,
+                                &cfg.slice,
+                            )
+                        })
+                        .collect()
+                });
+                m.add_slice_nodes(trees.iter().map(|t| t.len() as u64).sum());
+                trees
+            },
         });
-        let trees: Vec<SliceTree> = m.time(Stage::Slice, || {
-            base.problem_pcs
-                .iter()
-                .map(|&pc| {
-                    SliceTree::build(
-                        &base.profile_prog,
-                        &trace,
-                        &ann,
-                        &base.profile,
-                        pc,
-                        &cfg.slice,
-                    )
-                })
-                .collect()
-        });
-        m.add_slice_nodes(trees.iter().map(|t| t.len() as u64).sum());
         // PTHSEL work, though not a select call: `select.calls` keeps
         // counting selections only.
         let table = m.time_uncounted(Stage::Select, || {
@@ -543,14 +786,21 @@ impl Prepared {
         let metrics = Metrics::new();
         // The trace is dropped and replayed, as for a cache-served base,
         // so comparing this path with the engine's also checks the replay.
-        let (base, _, _) = PreparedBase::build(
+        let (base, _) = PreparedBase::build(
             name,
             cfg,
             &metrics,
-            |_, compute| compute(),
+            |out| Arc::new((out.compute)()),
+            |out| Arc::new((out.compute)()),
             |program, _| timed_run(&metrics, program, &cfg.sim, &[], 0).0,
         );
-        let core = PreparedCore::from_base(Arc::new(base), cfg, &metrics, None);
+        let core = PreparedCore::from_base(
+            Arc::new(base),
+            cfg,
+            &metrics,
+            &ProfilingRun::default(),
+            |out| Arc::new((out.compute)()),
+        );
         Prepared::from_core(Arc::new(core), cfg)
     }
 
@@ -697,7 +947,9 @@ mod tests {
             PreparedCore::structural_key("gap", &cfg),
             PreparedBase::base_key("gap", &cfg),
             PreparedBase::baseline_key_for("0123abcd", &cfg.sim),
+            PreparedBase::profile_key("0123abcd", &cfg),
             PreparedBase::critpath_key("0123abcd", &cfg, &[4, 9]),
+            PreparedBase::slices_key("0123abcd", &cfg, &[4, 9]),
         ] {
             assert!(key.starts_with(&prefix), "unversioned key {key:?}");
         }

@@ -72,10 +72,17 @@ fn warm_atlas_replays_the_store_and_the_store_holds_every_baseline() {
         Some(0)
     );
     assert_eq!(
-        number(&warm_metrics, &["stages", Stage::Critpath.name(), "calls"]),
-        Some(0),
-        "the warm atlas reads its critical-path outputs from the store"
+        number(&warm_metrics, &["cache", "frontend_store_misses"]),
+        Some(0)
     );
+    for stage in [Stage::Trace, Stage::Profile, Stage::Slice, Stage::Critpath] {
+        assert_eq!(
+            number(&warm_metrics, &["stages", stage.name(), "calls"]),
+            Some(0),
+            "the warm atlas reads its {} output from the store",
+            stage.name()
+        );
+    }
 
     let spec = GenSpec {
         seed: 7,

@@ -18,7 +18,7 @@ use preexec_trace::{MemAnnotation, Profile, Seq, Trace};
 pub type NodeId = usize;
 
 /// One node of a slice tree: a linear p-thread candidate.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SliceNode {
     /// This node's id.
     pub id: NodeId,
@@ -56,7 +56,7 @@ impl SliceNode {
 }
 
 /// The slice tree of one static problem load.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SliceTree {
     /// Static PC of the problem load (the tree's root instruction).
     pub root_pc: Pc,
@@ -167,6 +167,14 @@ impl SliceTree {
             }
         }
         tree
+    }
+
+    /// Reassembles a tree from its root PC and the nodes
+    /// [`SliceTree::nodes`] returns. The caller keeps the invariants
+    /// [`SliceTree::build`] establishes: node `i` has id `i`, every parent
+    /// id is below its child's, and children are listed in id order.
+    pub fn from_parts(root_pc: Pc, nodes: Vec<SliceNode>) -> SliceTree {
+        SliceTree { root_pc, nodes }
     }
 
     /// The node with id `id`.

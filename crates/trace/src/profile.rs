@@ -69,7 +69,7 @@ pub struct ProblemLoad {
 /// # Examples
 ///
 /// See [`Profile::compute`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Profile {
     per_pc: Vec<PcStats>,
     total_insts: u64,
@@ -107,6 +107,21 @@ impl Profile {
             total_insts: trace.len() as u64,
             total_l2_misses: total_l2,
         }
+    }
+
+    /// Reassembles a profile from the parts [`Profile::per_pc`],
+    /// [`Profile::total_insts`] and [`Profile::total_l2_misses`] return.
+    pub fn from_parts(per_pc: Vec<PcStats>, total_insts: u64, total_l2_misses: u64) -> Profile {
+        Profile {
+            per_pc,
+            total_insts,
+            total_l2_misses,
+        }
+    }
+
+    /// Statistics of every static instruction, indexed by PC.
+    pub fn per_pc(&self) -> &[PcStats] {
+        &self.per_pc
     }
 
     /// Statistics for the instruction at `pc`.

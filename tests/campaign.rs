@@ -10,8 +10,10 @@
 use preexec::campaign::{content_hash, dominates, frontier, frontier_excess, Store};
 use preexec::critpath::Breakdown;
 use preexec::harness::{
-    campaign, versioned, CritPathOutput, Engine, ExpConfig, Stage, MODEL_VERSION,
+    campaign, profile_from_json, trees_from_json, versioned, CritPathOutput, Engine, ExpConfig,
+    Stage, MODEL_VERSION,
 };
+use preexec::workloads::InputSet;
 use preexec_json::ToJson;
 use preexec_prop::{run_cases, Gen};
 use std::path::PathBuf;
@@ -160,11 +162,15 @@ fn persistent_store_gives_warm_engines_a_full_hit_rate() {
     assert_eq!(cold.metrics().store_hits(), 0, "nothing persisted yet");
     assert!(cold.metrics().store_misses() > 0);
 
-    // The store caches timing runs and critical-path outputs: every
-    // entry decodes whole as the kind its key names, so none is written
-    // that no reader asks for.
+    // The store caches timing runs and stage outputs: every entry
+    // decodes whole as the kind its key names, so none is written that
+    // no reader asks for. The one profiled binary files one profile, one
+    // critical-path output and one set of slice trees, each equal to
+    // what the cold engine computed.
+    let prep = cold.prepared("gap", &cfg);
+    let problem_pcs: Vec<u32> = prep.trees.iter().map(|t| t.root_pc).collect();
     let prefix = versioned(MODEL_VERSION, "");
-    let mut critpaths = 0;
+    let (mut profiles, mut critpaths, mut slices) = (0, 0, 0);
     for shard in std::fs::read_dir(dir.join("store/entries")).unwrap() {
         for entry in std::fs::read_dir(shard.unwrap().path()).unwrap() {
             let path = entry.unwrap().path();
@@ -174,35 +180,56 @@ fn persistent_store_gives_warm_engines_a_full_hit_rate() {
             let kind = key.strip_prefix(&prefix).and_then(|k| k.split('|').next());
             let whole = match kind {
                 Some("baseline" | "sim") => preexec::sim::SimReport::from_json(value).map(drop),
+                Some("profile") => {
+                    profiles += 1;
+                    profile_from_json(value, &prep.program)
+                        .map(|p| assert_eq!(p, *prep.profile, "stored profile"))
+                }
                 Some("critpath") => {
                     critpaths += 1;
                     CritPathOutput::from_json(value).map(drop)
+                }
+                Some("slices") => {
+                    slices += 1;
+                    trees_from_json(value, &prep.program, &prep.profile, &problem_pcs)
+                        .map(|t| assert_eq!(t, *prep.trees, "stored slice trees"))
                 }
                 _ => Err(format!("unknown entry kind in key {key:?}")),
             };
             assert!(whole.is_ok(), "{}: {whole:?}", path.display());
         }
     }
-    assert_eq!(critpaths, 1, "one critical-path output per profiled binary");
+    assert_eq!(
+        (profiles, critpaths, slices),
+        (1, 1, 1),
+        "one profile, critical-path output and set of slice trees per profiled binary"
+    );
 
     // A fresh engine (empty in-memory memo) over the same store: every
     // timing run replays from disk — a 100% (≥90%) hit rate.
     let warm = Engine::from_env().with_store(store);
     let second = campaign::run_sweep(&warm, &cfg, &opts);
-    assert_eq!(
-        warm.metrics().store_misses(),
-        0,
-        "warm run missed the store"
-    );
-    assert!(warm.metrics().store_hits() > 0);
+    let m = warm.metrics();
+    assert_eq!(m.store_misses(), 0, "warm run missed the store");
+    assert!(m.store_hits() > 0);
     assert_eq!(
         (
-            warm.metrics().critpath_store_hits(),
-            warm.metrics().critpath_store_misses(),
-            warm.metrics().stage_calls(Stage::Critpath),
+            m.critpath_store_hits(),
+            m.critpath_store_misses(),
+            m.stage_calls(Stage::Critpath),
         ),
         (1, 0, 0),
         "the warm run read the critical-path output instead of running the model"
+    );
+    assert_eq!(
+        (m.frontend_store_hits(), m.frontend_store_misses()),
+        (2, 0),
+        "the warm run read the profile and the slice trees"
+    );
+    assert_eq!(
+        [Stage::Trace, Stage::Profile, Stage::Slice].map(|s| m.stage_calls(s)),
+        [0, 0, 0],
+        "the warm run traced, profiled or sliced"
     );
     assert_eq!(
         second.to_json().to_string(),
@@ -230,28 +257,224 @@ fn store_served_critpath_outputs_equal_the_computed_ones_bit_for_bit() {
     let dir = tmpdir("critpath-bits");
     let store = std::sync::Arc::new(Store::open(dir.join("store")).unwrap());
     let cfg = ExpConfig::default();
-    let mut names: Vec<&str> = preexec::workloads::NAMES.to_vec();
-    names.extend([
-        "gen:sl4_id1_bd0_mr0.25_mc0_fp131072_s7",
-        "gen:sl8_id1_bd0.5_mr0.5_mc0_fp65536_s7",
+    // Figure 4's case: profiled on another input than it runs on, so the
+    // profiled binary's fingerprint differs from the run binary's.
+    let ref_profiled = ExpConfig {
+        profile_input: InputSet::Ref,
+        ..cfg
+    };
+    let mut cells: Vec<(&str, ExpConfig)> = preexec::workloads::NAMES
+        .iter()
+        .map(|&n| (n, cfg))
+        .collect();
+    cells.extend([
+        ("gen:sl4_id1_bd0_mr0.25_mc0_fp131072_s7", cfg),
+        ("gen:sl8_id1_bd0.5_mr0.5_mc0_fp65536_s7", cfg),
+        ("mcf", ref_profiled),
     ]);
+    let n = cells.len() as u64;
     let cold = Engine::new(2).with_store(store.clone());
-    let computed: Vec<_> = names.iter().map(|n| cold.prepared(n, &cfg)).collect();
-    assert_eq!(cold.metrics().critpath_store_misses(), names.len() as u64);
+    let computed: Vec<_> = cells.iter().map(|(n, c)| cold.prepared(n, c)).collect();
+    assert_eq!(cold.metrics().critpath_store_misses(), n);
+    assert_eq!(cold.metrics().frontend_store_misses(), 2 * n);
+    assert_eq!(
+        cold.metrics().stage_calls(Stage::Trace),
+        n,
+        "one trace per cold preparation"
+    );
 
     let warm = Engine::new(2).with_store(store);
-    for (name, fresh) in names.iter().zip(&computed) {
-        let served = warm.prepared(name, &cfg);
+    for ((name, c), fresh) in cells.iter().zip(&computed) {
+        let served = warm.prepared(name, c);
         assert_eq!(
             critpath_bits(&served.costs, &served.cp_breakdown, served.cp_ipc),
             critpath_bits(&fresh.costs, &fresh.cp_breakdown, fresh.cp_ipc),
             "{name}: store-served critical-path output differs from the computed one"
         );
+        // Every profile and slice-node field is an integer, so equality
+        // is bit identity.
+        assert_eq!(
+            served.profile, fresh.profile,
+            "{name}: store-served profile differs from the computed one"
+        );
+        assert_eq!(
+            served.trees, fresh.trees,
+            "{name}: store-served slice trees differ from the computed ones"
+        );
     }
     let m = warm.metrics();
-    assert_eq!(m.critpath_store_hits(), names.len() as u64);
+    assert_eq!(m.critpath_store_hits(), n);
     assert_eq!(m.critpath_store_misses(), 0);
+    assert_eq!(
+        (m.frontend_store_hits(), m.frontend_store_misses()),
+        (2 * n, 0)
+    );
     assert_eq!(m.stage_calls(Stage::Critpath), 0, "no model ran warm");
+    assert_eq!(m.stage_calls(Stage::Trace), 0, "no trace ran warm");
+}
+
+/// Rewrites the value of every store entry under `dir` whose key starts
+/// with `prefix` through `edit`, returning how many it rewrote.
+fn edit_entries(
+    dir: &std::path::Path,
+    prefix: &str,
+    edit: impl Fn(&preexec_json::Json) -> preexec_json::Json,
+) -> usize {
+    let mut edited = 0;
+    for shard in std::fs::read_dir(dir.join("entries")).unwrap() {
+        for entry in std::fs::read_dir(shard.unwrap().path()).unwrap() {
+            let path = entry.unwrap().path();
+            let j = preexec_json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+            let key = j.get("key").and_then(preexec_json::Json::as_str).unwrap();
+            if !key.starts_with(prefix) {
+                continue;
+            }
+            let rewritten = preexec_json::Json::object()
+                .with("key", key)
+                .with("value", edit(j.get("value").unwrap()));
+            std::fs::write(&path, rewritten.to_string()).unwrap();
+            edited += 1;
+        }
+    }
+    edited
+}
+
+/// A rewrite of one stored value.
+type Edit = Box<dyn Fn(&preexec_json::Json) -> preexec_json::Json>;
+
+/// `j` with `f` applied to its array items (all of them when `at` is
+/// `None`, else the one at that index).
+fn map_items(
+    j: &preexec_json::Json,
+    at: Option<usize>,
+    f: impl Fn(&preexec_json::Json) -> preexec_json::Json,
+) -> preexec_json::Json {
+    let items = j.as_array().expect("an array");
+    preexec_json::Json::Array(
+        items
+            .iter()
+            .enumerate()
+            .map(|(i, x)| {
+                if at.is_none_or(|a| a == i) {
+                    f(x)
+                } else {
+                    x.clone()
+                }
+            })
+            .collect(),
+    )
+}
+
+#[test]
+fn corrupt_profile_and_slice_entries_recompute_and_overwrite_themselves() {
+    use preexec_json::Json;
+    let dir = tmpdir("corrupt-frontend");
+    let store = std::sync::Arc::new(Store::open(dir.join("store")).unwrap());
+    let cfg = ExpConfig::default();
+    let cold = Engine::new(1)
+        .with_store(store.clone())
+        .prepared("gap", &cfg);
+    let len = cold.program.len() as u64;
+    let profile = versioned(MODEL_VERSION, "profile|");
+    let slices = versioned(MODEL_VERSION, "slices|");
+
+    // Each edit leaves an entry that parses but must not decode: cut
+    // short, or structurally bad for the binary it claims to describe.
+    let with_field = |j: &Json, key: &str, value: Json| {
+        let Json::Object(fields) = j else {
+            panic!("an object")
+        };
+        Json::Object(
+            fields
+                .iter()
+                .map(|(k, v)| (k.clone(), if k == key { value.clone() } else { v.clone() }))
+                .collect(),
+        )
+    };
+    let first_tree = |node: usize, field: usize, value: u64| {
+        move |j: &Json| {
+            map_items(j, Some(0), |tree| {
+                map_items(tree, Some(node), |row| {
+                    map_items(row, Some(field), |_| Json::U64(value))
+                })
+            })
+        }
+    };
+    let cases: Vec<(&str, &str, Edit)> = vec![
+        (
+            "profile without its L2-miss total",
+            &profile,
+            Box::new(|j: &Json| {
+                let Json::Object(fields) = j else {
+                    panic!("an object")
+                };
+                Json::Object(fields[..fields.len() - 1].to_vec())
+            }),
+        ),
+        (
+            "profile one PC short",
+            &profile,
+            Box::new(move |j: &Json| {
+                let per_pc = j.get("per_pc").unwrap().as_array().unwrap();
+                with_field(j, "per_pc", Json::Array(per_pc[1..].to_vec()))
+            }),
+        ),
+        (
+            "slice node cut to three fields",
+            &slices,
+            Box::new(|j: &Json| {
+                map_items(j, Some(0), |tree| {
+                    map_items(tree, Some(1), |row| {
+                        Json::Array(row.as_array().unwrap()[..3].to_vec())
+                    })
+                })
+            }),
+        ),
+        (
+            "slice node its own parent",
+            &slices,
+            Box::new(first_tree(1, 0, 1)),
+        ),
+        (
+            "slice node past the program",
+            &slices,
+            Box::new(first_tree(1, 1, len)),
+        ),
+    ];
+    let mut corrupt = 0;
+    for (what, prefix, edit) in cases {
+        assert_eq!(edit_entries(&dir.join("store"), prefix, edit), 1, "{what}");
+
+        // The bad entry is a corrupt miss: its stage runs again and the
+        // output is the cold one.
+        let warm = Engine::new(1).with_store(store.clone());
+        let prep = warm.prepared("gap", &cfg);
+        assert_eq!(prep.profile, cold.profile, "{what}: profile");
+        assert_eq!(prep.trees, cold.trees, "{what}: slice trees");
+        let m = warm.metrics();
+        assert_eq!(
+            (m.frontend_store_hits(), m.frontend_store_misses()),
+            (1, 1),
+            "{what}"
+        );
+        assert_eq!(m.stage_calls(Stage::Trace), 1, "{what}: traced again");
+        let resliced = u64::from(prefix.starts_with(&slices));
+        assert_eq!(m.stage_calls(Stage::Slice), resliced, "{what}");
+        corrupt += 1;
+        assert_eq!(store.counters().corrupt, corrupt, "{what}");
+
+        // The recompute overwrote the entry: the next engine reads it.
+        let healed = Engine::new(1).with_store(store.clone());
+        let prep = healed.prepared("gap", &cfg);
+        assert_eq!(prep.trees, cold.trees, "{what}: healed slice trees");
+        let m = healed.metrics();
+        assert_eq!(
+            (m.frontend_store_hits(), m.frontend_store_misses()),
+            (2, 0),
+            "{what}: healed"
+        );
+        assert_eq!(m.stage_calls(Stage::Trace), 0, "{what}: healed");
+    }
 }
 
 #[test]
@@ -264,28 +487,15 @@ fn truncated_critpath_entries_recompute_and_overwrite_themselves() {
 
     // Cut the filed critical-path output short after its breakdown (no
     // `ipc`): an entry that still parses but no longer decodes whole.
-    let prefix = versioned(MODEL_VERSION, "critpath|");
-    let mut cut = 0u64;
-    for shard in std::fs::read_dir(dir.join("store/entries")).unwrap() {
-        for entry in std::fs::read_dir(shard.unwrap().path()).unwrap() {
-            let path = entry.unwrap().path();
-            let text = std::fs::read_to_string(&path).unwrap();
-            let j = preexec_json::parse(&text).unwrap();
-            let key = j.get("key").and_then(preexec_json::Json::as_str).unwrap();
-            if !key.starts_with(&prefix) {
-                continue;
-            }
-            let value = j.get("value").unwrap();
-            let truncated = preexec_json::Json::object()
+    let cut = edit_entries(
+        &dir.join("store"),
+        &versioned(MODEL_VERSION, "critpath|"),
+        |value| {
+            preexec_json::Json::object()
                 .with("costs", value.get("costs").unwrap().clone())
-                .with("breakdown", value.get("breakdown").unwrap().clone());
-            let cut_entry = preexec_json::Json::object()
-                .with("key", key)
-                .with("value", truncated);
-            std::fs::write(&path, cut_entry.to_string()).unwrap();
-            cut += 1;
-        }
-    }
+                .with("breakdown", value.get("breakdown").unwrap().clone())
+        },
+    );
     assert_eq!(cut, 1, "one critical-path output was filed");
 
     // The partial entry is a corrupt miss: the model runs again and the
